@@ -136,8 +136,8 @@ def _pair_counts(dev: Device) -> tuple[np.ndarray, np.ndarray]:
     flat = one.reshape(q * r, n)
     meets = np.empty((q, q), dtype=np.int64)
     joins = np.empty((q, q), dtype=np.int64)
-    weights = 1 << np.arange(r, dtype=np.int64)
     eye = np.eye(r, dtype=bool)
+    earlier = np.tri(r, k=-1, dtype=bool)  # earlier[i, j] iff j < i
     closure_steps = max(1, math.ceil(math.log2(max(2, r))))
     chunk = max(1, (1 << 22) // max(1, q * r * r))
     for a0 in range(0, q, chunk):
@@ -152,12 +152,10 @@ def _pair_counts(dev: Device) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(closure_steps):
             af = adj.astype(np.float32)
             adj = (af @ af) > 0
-        packed = (adj.astype(np.int64) * weights).sum(axis=3)  # (ca, q, r)
-        fake = np.arange(r)[None, :] >= nb[a0:a1, None]  # padding rows on the a axis
-        packed = np.where(fake[:, None, :], np.int64(-1), packed)
-        packed.sort(axis=2)
-        uniq = (np.diff(packed, axis=2) != 0).sum(axis=2) + 1
-        joins[a0:a1] = uniq - (nb[a0:a1, None] < r)
+        # each join block is counted once, at its lowest block of a
+        lead = ~(adj & earlier).any(axis=3)  # (ca, q, r)
+        real = np.arange(r)[None, :] < nb[a0:a1, None]  # padding rows on the a axis
+        joins[a0:a1] = (lead & real[:, None, :]).sum(axis=2)
     return meets, joins
 
 

@@ -75,8 +75,8 @@ def minimize(dev: Device) -> MinimizationResult:
         from_alpha.append(choice)
     from_min = Reduction(tuple(reps), tuple(from_alpha))
 
-    assert verify_reduction(dev, mindev, to_min)
-    assert verify_reduction(mindev, dev, from_min)
+    if not verify_reduction(dev, mindev, to_min) or not verify_reduction(mindev, dev, from_min):
+        raise RuntimeError("internal: minimization witness failed verification")
     return MinimizationResult(mindev, to_min, from_min)
 
 

@@ -1,15 +1,19 @@
 """Reducibility and equivalence decisions with explicit witnesses.
 
-The searches assign phi state by state in declaration order, trying target
-states in declaration order, so the first witness found is lexicographically
-least.  Candidate partitions for each read are kept as bitmasks and narrowed
-after every assignment; a candidate survives iff it is consistent with every
-assigned pair so far, which at full depth is exactly the reduction condition.
+One depth-first driver, _backtrack, assigns phi state by state in declaration
+order, trying target states in declaration order, so the first witness found
+is lexicographically least.  Each search adds one narrowing step that keeps,
+per source read, the target reads consistent with every assigned pair so far;
+at full depth that is exactly the reduction condition.  The numpy step of
+_search_reduction adds capacity and pair-count pruning.  The bitmask step
+serves the fallback for oversized inputs and, with an extra "equal" check on
+the same masks, the exact-match equivalence search.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,91 +45,129 @@ def _sep_masks(parts, n: int) -> list[list[int]]:
     return sep
 
 
-def _pair_lists(parts, n: int):
-    """For each state pair, the tuple of partition indices separating it."""
+def _pair_lists(parts, n: int, exact: bool):
+    """For each state pair, the tuple of partition indices separating it.
+
+    With exact=True, also the tuples of indices keeping each pair together.
+    """
     masks = _sep_masks(parts, n)
-    return [[tuple(i for i in range(len(parts)) if (masks[x][y] >> i) & 1)
-             for y in range(n)] for x in range(n)]
+    idx = range(len(parts))
+    seps = [[tuple(i for i in idx if (m >> i) & 1) for m in row] for row in masks]
+    if not exact:
+        return seps, None
+    return seps, [[tuple(i for i in idx if not (m >> i) & 1) for m in row] for row in masks]
 
 
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _search_reduction_bitmask(src: Device, dst: Device, budget: int, injective: bool) -> Reduction | None:
-    """Plain pairwise-consistency backtracking; fallback for oversized instances."""
-    nd, ne = src.num_states, dst.num_states
-    pd, pe = src.partitions, dst.partitions
+def _backtrack(nd: int, ne: int, root, extend, budget: int, injective: bool, allowed=None):
+    """Depth-first search over phi; returns (phi, leaf frame) or None.
 
-    init = []
-    for pi in pd:
-        m = 0
-        for j, rho in enumerate(pe):
-            if rho.num_blocks >= pi.num_blocks:
-                m |= 1 << j
-        if m == 0:
-            return None
-        init.append(m)
-
-    sep_dst = _sep_masks(pe, ne)
-    dpairs = _pair_lists(pd, nd)
-
+    Every target tried counts as a node, including those blocked because
+    injective is set and they are used, or because they are missing from the
+    bitmask allowed[x].  extend(frame, x, t) is called once phi(y) is fixed for
+    every y < x; it returns the child frame for phi(x) = t, or None.
+    """
     phi = [-1] * nd
     used = 0
-    cands = [init]
+    frames = [root]
     resume = [0] * (nd + 1)
     nodes = 0
     depth = 0
 
     while True:
         if depth == nd:
-            final = cands[-1]
-            red = Reduction(tuple(phi), tuple(_lowest_bit(m) for m in final))
-            if not verify_reduction(src, dst, red):
-                raise RuntimeError("internal: search produced an invalid witness")
-            return red
+            return tuple(phi), frames[-1]
         x = depth
-        base = cands[-1]
+        blocked = used if injective else 0
+        if allowed is not None:
+            blocked |= ~allowed[x]
         t = resume[depth]
-        advanced = False
+        child = None
         while t < ne:
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(nodes, budget)
-            if injective and (used >> t) & 1:
-                t += 1
-                continue
-            new = base.copy()
-            ok = True
-            sep_t = sep_dst[t]
-            pair_x = dpairs[x]
-            for y in range(x):
-                row = sep_t[phi[y]]
-                for i in pair_x[y]:
-                    v = new[i] & row
-                    if not v:
-                        ok = False
-                        break
-                    new[i] = v
-                if not ok:
+            if not (blocked >> t) & 1:
+                child = extend(frames[-1], x, t)
+                if child is not None:
                     break
-            if ok:
-                resume[depth] = t + 1
-                phi[x] = t
-                used |= 1 << t
-                cands.append(new)
-                depth += 1
-                resume[depth] = 0
-                advanced = True
-                break
             t += 1
-        if not advanced:
+        if child is not None:
+            resume[depth] = t + 1
+            phi[x] = t
+            used |= 1 << t
+            frames.append(child)
+            depth += 1
+            resume[depth] = 0
+        else:
             if depth == 0:
                 return None
             depth -= 1
-            cands.pop()
+            frames.pop()
             used &= ~(1 << phi[depth])
             phi[depth] = -1
+
+
+def _read_masks(src_keys, dst_keys, fits) -> list[int] | None:
+    """Per source key a, the bitmask of j with fits(a, dst_keys[j]); None if one is empty."""
+    masks = [sum(1 << j for j, b in enumerate(dst_keys) if fits(a, b)) for a in src_keys]
+    return masks if all(masks) else None
+
+
+def _mask_step(src: Device, dst: Device, exact: bool):
+    """Bitmask narrowing step: a list of candidate masks per source read.
+
+    A source read separating x from an assigned y keeps only target reads
+    separating their images.  With exact=True a source read keeping x and y
+    together also keeps only target reads keeping the images together, so at
+    full depth every source read equals a pulled-back target read.
+    """
+    sep_dst = _sep_masks(dst.partitions, dst.num_states)
+    seps, eqs = _pair_lists(src.partitions, src.num_states, exact)
+    full = (1 << dst.num_partitions) - 1
+    img = [0] * src.num_states  # img[y] = phi(y) for every y below the current x
+
+    def extend(cands, x, t):
+        img[x] = t
+        new = cands.copy()
+        sep_t = sep_dst[t]
+        for y in range(x):
+            row = sep_t[img[y]]
+            for i in seps[x][y]:
+                v = new[i] & row
+                if not v:
+                    return None
+                new[i] = v
+            if exact:
+                row = full & ~row
+                for i in eqs[x][y]:
+                    v = new[i] & row
+                    if not v:
+                        return None
+                    new[i] = v
+        return new
+
+    return extend
+
+
+def _search_reduction_bitmask(src: Device, dst: Device, budget: int, injective: bool) -> Reduction | None:
+    """Plain pairwise-consistency backtracking; fallback for oversized instances."""
+    init = _read_masks([pi.num_blocks for pi in src.partitions],
+                       [rho.num_blocks for rho in dst.partitions], operator.le)
+    if init is None:
+        return None
+    hit = _backtrack(src.num_states, dst.num_states, init, _mask_step(src, dst, False),
+                     budget, injective)
+    if hit is None:
+        return None
+    phi, final = hit
+    red = Reduction(phi, tuple(_lowest_bit(m) for m in final))
+    if not verify_reduction(src, dst, red):
+        raise RuntimeError("internal: search produced an invalid witness")
+    return red
 
 
 @functools.lru_cache(maxsize=65536)
@@ -270,92 +312,59 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
     jq = np.arange(q)[None, :]
     b_of = dlab.T  # (nd, p)
 
-    phi = [-1] * nd
-    phi_arr = np.empty(nd, dtype=np.int64)
-    used = 0
-    frames = [(alive0, own0, ofree0, ufree0, defc0, need0)]
-    resume = [0] * (nd + 1)
-    nodes = 0
-    depth = 0
+    img = np.empty(nd, dtype=np.int64)  # img[y] = phi(y) for every y below the current x
 
-    while True:
-        if depth == nd:
-            final = frames[-1][0]
-            alpha = tuple(int(np.argmax(final[i])) for i in range(p))
-            red = Reduction(tuple(phi), alpha)
-            if not verify_reduction(src, dst, red):
-                raise RuntimeError("internal: search produced an invalid witness")
-            return red
-        x = depth
-        alive_p, own_p, ofree_p, ufree_p, defc_p, need_p = frames[-1]
-        t = resume[depth]
-        advanced = False
-        while t < ne:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(nodes, budget)
-            if injective and (used >> t) & 1:
-                t += 1
-                continue
-            if x:
-                a = dsep[x, :x, :]  # (x, p)
-                e = eeq[t, phi_arr[:x], :]  # (x, q)
-                kill = (a.T.astype(np.float32) @ e.astype(np.float32)) > 0
-                alive = alive_p & ~kill
-            else:
-                alive = alive_p.copy()
+    def extend(frame, x, t):
+        alive_p, own_p, ofree_p, ufree_p, defc_p, need_p = frame
+        img[x] = t
+        if x:
+            a = dsep[x, :x, :]  # (x, p)
+            e = eeq[t, img[:x], :]  # (x, q)
+            kill = (a.T.astype(np.float32) @ e.astype(np.float32)) > 0
+            alive = alive_p & ~kill
+        else:
+            alive = alive_p.copy()
+        if not alive.any(axis=1).all():
+            return None
+        if injective:
+            b = b_of[x]  # (p,) source block of x per read
+            c = cel_t[t]  # (q,) target block of t per read
+            csz = csz_t[t]  # (q,)
+            own_bc = own_p[ip, jq, c[None, :]]
+            newclaim = alive & (own_bc < 0)
+            ofree_b = ofree_p[ip, jq, b[:, None]]
+            delta = np.where(newclaim, csz[None, :] - 1, np.where(alive, -1, 0))
+            need_b = need_p[ar_p, b]
+            old_term = np.maximum(0, need_b[:, None] - ofree_b)
+            new_ofree_b = ofree_b + delta
+            new_term = np.maximum(0, (need_b - 1)[:, None] - new_ofree_b)
+            ufree = ufree_p - np.where(newclaim, csz[None, :], 0)
+            defc = np.where(alive, defc_p + new_term - old_term, defc_p)
+            alive &= ~(alive & (defc > ufree))
             if not alive.any(axis=1).all():
-                t += 1
-                continue
-            if injective:
-                b = b_of[x]  # (p,) source block of x per read
-                c = cel_t[t]  # (q,) target block of t per read
-                csz = csz_t[t]  # (q,)
-                own_bc = own_p[ip, jq, c[None, :]]
-                newclaim = alive & (own_bc < 0)
-                ofree_b = ofree_p[ip, jq, b[:, None]]
-                delta = np.where(newclaim, csz[None, :] - 1, np.where(alive, -1, 0))
-                need_b = need_p[ar_p, b]
-                old_term = np.maximum(0, need_b[:, None] - ofree_b)
-                new_ofree_b = ofree_b + delta
-                new_term = np.maximum(0, (need_b - 1)[:, None] - new_ofree_b)
-                ufree = ufree_p - np.where(newclaim, csz[None, :], 0)
-                defc = np.where(alive, defc_p + new_term - old_term, defc_p)
-                alive &= ~(alive & (defc > ufree))
-                if not alive.any(axis=1).all():
-                    t += 1
-                    continue
-            if ac is not None:
-                alive = _ac_narrow(alive, ac)
-                if alive is None:
-                    t += 1
-                    continue
-            if injective:
-                own = own_p.copy()
-                own[ip, jq, c[None, :]] = np.where(newclaim, b[:, None].astype(np.int16), own_bc)
-                ofree = ofree_p.copy()
-                ofree[ip, jq, b[:, None]] = new_ofree_b
-                need = need_p.copy()
-                need[ar_p, b] -= 1
-                frame = (alive, own, ofree, ufree, defc, need)
-            else:
-                frame = (alive, own_p, ofree_p, ufree_p, defc_p, need_p)
-            resume[depth] = t + 1
-            phi[x] = t
-            phi_arr[x] = t
-            used |= 1 << t
-            frames.append(frame)
-            depth += 1
-            resume[depth] = 0
-            advanced = True
-            break
-        if not advanced:
-            if depth == 0:
                 return None
-            depth -= 1
-            frames.pop()
-            used &= ~(1 << phi[depth])
-            phi[depth] = -1
+        if ac is not None:
+            alive = _ac_narrow(alive, ac)
+            if alive is None:
+                return None
+        if not injective:
+            return (alive, own_p, ofree_p, ufree_p, defc_p, need_p)
+        own = own_p.copy()
+        own[ip, jq, c[None, :]] = np.where(newclaim, b[:, None].astype(np.int16), own_bc)
+        ofree = ofree_p.copy()
+        ofree[ip, jq, b[:, None]] = new_ofree_b
+        need = need_p.copy()
+        need[ar_p, b] -= 1
+        return (alive, own, ofree, ufree, defc, need)
+
+    hit = _backtrack(nd, ne, (alive0, own0, ofree0, ufree0, defc0, need0), extend, budget, injective)
+    if hit is None:
+        return None
+    phi, final = hit
+    red = Reduction(phi, tuple(int(np.argmax(final[0][i])) for i in range(p)))
+    if not verify_reduction(src, dst, red):
+        raise RuntimeError("internal: search produced an invalid witness")
+    return red
 
 
 def _structural_refute(src: Device, dst: Device, budget: int) -> bool:
@@ -414,13 +423,6 @@ def find_reduction(
 # equivalence
 
 
-def _eq_masks(parts, n: int) -> list[list[int]]:
-    """eq[t][s] = bitmask of partition indices keeping t and s together."""
-    full = (1 << len(parts)) - 1
-    sep = _sep_masks(parts, n)
-    return [[full & ~sep[t][s] for s in range(n)] for t in range(n)]
-
-
 def _search_bijection(src: Device, dst: Device, budget: int):
     """Bijection phi with every source read equal to a pulled-back target read.
 
@@ -432,11 +434,12 @@ def _search_bijection(src: Device, dst: Device, budget: int):
     if nd != ne or src.num_partitions != dst.num_partitions:
         return None
     pd, pe = src.partitions, dst.partitions
-    p = len(pd)
 
     # exact match forces a read bijection preserving block-size multisets,
     # and a state bijection preserving the per-read size profile
-    if sorted(pi.size_multiset() for pi in pd) != sorted(rho.size_multiset() for rho in pe):
+    ms_src = [pi.size_multiset() for pi in pd]
+    ms_dst = [rho.size_multiset() for rho in pe]
+    if sorted(ms_src) != sorted(ms_dst):
         return None
 
     def state_profiles(parts, n):
@@ -451,89 +454,21 @@ def _search_bijection(src: Device, dst: Device, budget: int):
     prof_dst = state_profiles(pe, ne)
     if sorted(prof_src) != sorted(prof_dst):
         return None
+    with_prof: dict[tuple, int] = {}
+    for t, prof in enumerate(prof_dst):
+        with_prof[prof] = with_prof.get(prof, 0) | 1 << t
+    allowed = [with_prof[prof] for prof in prof_src]
 
-    init = []
-    for pi in pd:
-        sizes = pi.size_multiset()
-        m = 0
-        for j, rho in enumerate(pe):
-            if rho.size_multiset() == sizes:
-                m |= 1 << j
-        if m == 0:
-            return None
-        init.append(m)
-
-    sep_dst = _sep_masks(pe, ne)
-    eq_dst = _eq_masks(pe, ne)
-    src_masks = _sep_masks(pd, nd)
-    seps = [[tuple(i for i in range(p) if (src_masks[x][y] >> i) & 1) for y in range(nd)]
-            for x in range(nd)]
-    eqs = [[tuple(i for i in range(p) if not (src_masks[x][y] >> i) & 1) for y in range(nd)]
-           for x in range(nd)]
-
-    phi = [-1] * nd
-    used = 0
-    cands = [init]
-    resume = [0] * (nd + 1)
-    nodes = 0
-    depth = 0
-
-    while True:
-        if depth == nd:
-            final = cands[-1]
-            if any(m.bit_count() != 1 for m in final):
-                raise RuntimeError("internal: exact match left a non-singleton candidate")
-            return tuple(phi), tuple(_lowest_bit(m) for m in final)
-        x = depth
-        base = cands[-1]
-        t = resume[depth]
-        advanced = False
-        while t < ne:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(nodes, budget)
-            if (used >> t) & 1 or prof_src[x] != prof_dst[t]:
-                t += 1
-                continue
-            new = base.copy()
-            ok = True
-            for y in range(x):
-                s = phi[y]
-                row = sep_dst[t][s]
-                for i in seps[x][y]:
-                    v = new[i] & row
-                    if not v:
-                        ok = False
-                        break
-                    new[i] = v
-                if not ok:
-                    break
-                row = eq_dst[t][s]
-                for i in eqs[x][y]:
-                    v = new[i] & row
-                    if not v:
-                        ok = False
-                        break
-                    new[i] = v
-                if not ok:
-                    break
-            if ok:
-                resume[depth] = t + 1
-                phi[x] = t
-                used |= 1 << t
-                cands.append(new)
-                depth += 1
-                resume[depth] = 0
-                advanced = True
-                break
-            t += 1
-        if not advanced:
-            if depth == 0:
-                return None
-            depth -= 1
-            cands.pop()
-            used &= ~(1 << phi[depth])
-            phi[depth] = -1
+    init = _read_masks(ms_src, ms_dst, operator.eq)
+    if init is None:
+        return None
+    hit = _backtrack(nd, ne, init, _mask_step(src, dst, True), budget, True, allowed)
+    if hit is None:
+        return None
+    phi, final = hit
+    if any(m.bit_count() != 1 for m in final):
+        raise RuntimeError("internal: exact match left a non-singleton candidate")
+    return phi, tuple(_lowest_bit(m) for m in final)
 
 
 def decide_equivalence(

@@ -16,6 +16,7 @@ from asdkit.devices import (
 from asdkit.errors import LimitExceeded
 from asdkit.invariants import (
     INFINITE,
+    _pair_counts,
     capacity,
     invariant_report,
     perfectness_index,
@@ -141,3 +142,50 @@ def test_poly_signature():
         random_equivalent(make_perfect(3), seed=1)[0])
     with pytest.raises(LimitExceeded):
         poly_signature(L2, depth=9)
+
+
+def test_poly_signature_depth_three():
+    dm = minimize(direct_product(L2, L3)).device
+    for seed in (1, 2):
+        e, _ = random_equivalent(dm, seed=seed)
+        assert poly_signature(e, depth=3) == poly_signature(dm, depth=3)
+    other = minimize(make_projective(5)).device
+    assert poly_signature(other) != poly_signature(dm)
+    assert poly_signature(other, depth=3) != poly_signature(dm, depth=3)
+    # depth 3 extends each depth-2 profile with the deeper polynomials
+    assert len(poly_signature(dm, depth=3)[0]) > 3
+
+
+def _assert_pair_counts_exact(dev):
+    meets, joins = _pair_counts(dev)
+    for a, pa in enumerate(dev.partitions):
+        for b, pb in enumerate(dev.partitions):
+            assert meets[a, b] == pa.meet(pb).num_blocks
+            assert joins[a, b] == pa.join(pb).num_blocks
+
+
+def test_pair_counts_join_of_70_blocks():
+    from asdkit.devices import Device
+    from asdkit.partitions import GroundSet, Partition
+    g = GroundSet(str(i) for i in range(70))
+    assert _pair_counts(Device(g, [Partition.identity(g)]))[1][0, 0] == 70
+
+
+def test_pair_counts_join_of_130_and_57_blocks():
+    from asdkit.devices import Device
+    from asdkit.partitions import GroundSet, Partition
+    g = GroundSet(str(i) for i in range(130))
+    rng = random.Random(0)
+    labels = list(range(57)) + [rng.randrange(57) for _ in range(73)]
+    rng.shuffle(labels)
+    dev = Device(g, [Partition.identity(g), Partition.from_raw(g, labels)])
+    ident = next(a for a, pa in enumerate(dev.partitions) if pa.is_identity)
+    assert _pair_counts(dev)[1][ident, 1 - ident] == 57
+    _assert_pair_counts_exact(dev)
+
+
+def test_pair_counts_match_lattice_operations():
+    rng = random.Random(109)
+    for _ in range(40):
+        _assert_pair_counts_exact(random_device(rng))
+    _assert_pair_counts_exact(minimize(direct_product(L3, L3)).device)

@@ -3,6 +3,9 @@
 import math
 import random
 
+import pytest
+
+from asdkit import minimization
 from asdkit.devices import Device, direct_product, make_perfect, make_projective
 from asdkit.graphs import graph_device
 from asdkit.invariants import state_complexity
@@ -90,3 +93,10 @@ def test_minimize_is_deterministic():
         r2 = minimize(Device(d.states, d.partitions, name=d.name))
         assert r1.device.to_dict() == r2.device.to_dict()
         assert r1.to_min.phi == r2.to_min.phi and r1.to_min.alpha == r2.to_min.alpha
+
+
+def test_minimize_rejects_unverified_witness(monkeypatch):
+    """The witness check is a real error, kept under python -O."""
+    monkeypatch.setattr(minimization, "verify_reduction", lambda *args: False)
+    with pytest.raises(RuntimeError, match="internal"):
+        minimize(make_projective(2))

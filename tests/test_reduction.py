@@ -12,12 +12,17 @@ from asdkit.devices import (
     k_reads,
     make_linear,
     make_perfect,
+    make_projective,
     product_of,
 )
 from asdkit.errors import PreconditionMismatch, SearchBudgetExceeded
+from asdkit.graphs import complete_graph, graph_device, make_graph
 from asdkit.minimization import is_state_minimal, minimize
 from asdkit.partitions import GroundSet, Partition
 from asdkit.reduction import (
+    _search_bijection,
+    _search_reduction,
+    _search_reduction_bitmask,
     decide_equivalence,
     find_reduction,
     ip_nonequiv_sim,
@@ -73,21 +78,94 @@ def test_reduces_to_perfect_device_of_sigma_size():
 
 
 def test_agrees_with_brute_force_oracle():
-    """Witness-exact agreement on small pairs, including the None side."""
+    """Witness-exact agreement on small pairs, including the None side.
+
+    The bitmask fallback is checked on the same pairs without the prescreen,
+    so its own search decides every one of them.
+    """
     rng = random.Random(131)
     agree = 0
     for _ in range(220):
         src, dst = random_small_pair(rng)
         expect = least_reduction_oracle(src, dst)
         got = find_reduction(src, dst)
-        if expect is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert (got.phi, got.alpha) == expect
-            assert verify_reduction(src, dst, got)
+        fallback = _search_reduction_bitmask(src, dst, 10_000_000, is_state_minimal(src))
+        for red in (got, fallback):
+            if expect is None:
+                assert red is None
+            else:
+                assert red is not None
+                assert (red.phi, red.alpha) == expect
+                assert verify_reduction(src, dst, red)
         agree += 1
     assert agree == 220
+
+
+def _random_pair(seed):
+    rng = random.Random(seed)
+    return random_device(rng, 8, 5), random_device(rng, 8, 5)
+
+
+def _graph(edges):
+    return graph_device(make_graph("abcdef", edges))
+
+
+C6 = _graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("a", "f")])
+TWO_TRIANGLES = _graph([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f")])
+# K_{2,2,2} has triangles but no 4-clique
+OCTAHEDRON = _graph([e for e in itertools.combinations("abcdef", 2)
+                     if e not in {("a", "d"), ("b", "e"), ("c", "f")}])
+K4 = graph_device(complete_graph(4))
+
+
+def _relabel_search(dev, seed):
+    m = minimize(dev).device
+    other, _ = random_equivalent(m, seed)
+    return lambda budget: _search_bijection(m, other, budget)
+
+
+def _min_pair_search(a, b):
+    am, bm = minimize(a).device, minimize(b).device
+    return lambda budget: _search_bijection(am, bm, budget)
+
+
+# (search, nodes needed to decide, decided yes); each mode has a yes and a no
+NODE_PINS = {
+    "numpy L2xL3 -> L3xL2": (
+        lambda b: _search_reduction(direct_product(L2, L3), direct_product(L3, L2), b, True),
+        528, True),
+    "numpy K4 -> octahedron": (
+        lambda b: _search_reduction(K4, OCTAHEDRON, b, True), 474, False),
+    "numpy random pair 9": (
+        lambda b: _search_reduction(*_random_pair(9), b, True), 279, True),
+    "bitmask random pair 9": (
+        lambda b: _search_reduction_bitmask(*_random_pair(9), b, True), 1301, True),
+    "bitmask K4 -> octahedron": (
+        lambda b: _search_reduction_bitmask(K4, OCTAHEDRON, b, True), 942, False),
+    "bitmask random pair 11": (
+        lambda b: _search_reduction_bitmask(*_random_pair(11), b, True), 4088, False),
+    "bitmask random pair 20, not injective": (
+        lambda b: _search_reduction_bitmask(*_random_pair(20), b, False), 570, False),
+    "bijection P4 relabelled": (_relabel_search(make_projective(4), 0), 968, True),
+    "bijection L2xL2 relabelled": (_relabel_search(direct_product(L2, L2), 0), 3112, True),
+    # states with unequal size profiles, so the profile filter prunes here
+    "bijection random device 6 relabelled": (
+        _relabel_search(random_device(random.Random(6), 8, 5), 6), 52, True),
+    "bijection C6 vs two triangles": (_min_pair_search(C6, TWO_TRIANGLES), 870, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_PINS))
+def test_search_node_counts_pinned(name):
+    """Each search decides within exactly its pinned node count.
+
+    A change to the search order or to its pruning shows up here as a
+    different count, even where the verdict and witness stay the same.
+    """
+    search, nodes, yes = NODE_PINS[name]
+    assert (search(nodes) is not None) == yes
+    with pytest.raises(SearchBudgetExceeded):
+        search(nodes - 1)
 
 
 def test_product_composition_of_witnesses():
