@@ -18,7 +18,7 @@ from .errors import AsdError
 from .factorization import factor_binary, factor_perfect
 from .graphs import Graph, clique_via_reduction, gi_via_equivalence, graph_device
 from .invariants import invariant_report, poly_signature, prescreen
-from .minimization import minimize, minimize_cached
+from .minimization import minimize
 from .reduction import decide_equivalence, find_reduction, ip_nonequiv_sim
 from .witnesses import reduction_from_dict, reduction_to_dict, verify_reduction
 
@@ -53,8 +53,8 @@ def _signature_certificate(a: Device, b: Device) -> dict | None:
     """
     from collections import Counter
 
-    sa = Counter(poly_signature(minimize_cached(a).device))
-    sb = Counter(poly_signature(minimize_cached(b).device))
+    sa = Counter(poly_signature(minimize(a).device))
+    sb = Counter(poly_signature(minimize(b).device))
     for profile in sorted(set(sa) | set(sb)):
         if sa[profile] != sb[profile]:
             return {

@@ -24,8 +24,20 @@ from .errors import (
 from .partitions import GroundSet, Partition, product_ground
 
 
+def once_per_device(fn):
+    """Keep fn(dev, ...) in the immutable device's memo, per argument list; errors are not kept."""
+    @functools.wraps(fn)
+    def memoized(dev, *args, **kwargs):
+        key = (fn, args, tuple(kwargs.items()))
+        if key not in dev._memo:
+            dev._memo[key] = fn(dev, *args, **kwargs)
+        return dev._memo[key]
+
+    return memoized
+
+
 class Device:
-    __slots__ = ("states", "partitions", "name", "_hash", "_meet")
+    __slots__ = ("states", "partitions", "name", "_hash", "_memo")
 
     def __init__(self, states: GroundSet, partitions: Iterable[Partition], name: str | None = None):
         parts = {}
@@ -39,7 +51,7 @@ class Device:
         self.partitions = tuple(parts[key] for key in sorted(parts))
         self.name = name
         self._hash = hash((states, tuple(p.labels for p in self.partitions)))
-        self._meet: Partition | None = None
+        self._memo: dict = {}
 
     # ------------------------------------------------------------------
 
@@ -51,11 +63,10 @@ class Device:
     def num_partitions(self) -> int:
         return len(self.partitions)
 
+    @once_per_device
     def meet_of_all(self) -> Partition:
-        """Meet of the whole partition family (cached)."""
-        if self._meet is None:
-            self._meet = functools.reduce(Partition.meet, self.partitions)
-        return self._meet
+        """Meet of the whole partition family."""
+        return functools.reduce(Partition.meet, self.partitions)
 
     def with_name(self, name: str | None) -> "Device":
         d = Device(self.states, self.partitions, name)

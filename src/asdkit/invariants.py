@@ -8,16 +8,15 @@ state exactly (infinite when no number of reads suffices).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .devices import Device
+from .devices import Device, once_per_device
 from .errors import LimitExceeded
-from .minimization import minimize_cached
+from .minimization import minimize
 from .partitions import Join, Meet, Var, eval_poly, poly_depth
 
 INFINITE = math.inf
@@ -33,6 +32,7 @@ def state_complexity(dev: Device) -> float:
     return math.log2(dev.meet_of_all().num_blocks)
 
 
+@once_per_device
 def perfectness_index(dev: Device) -> int | float:
     """Least k such that some k reads together separate every state pair.
 
@@ -75,8 +75,8 @@ def prescreen(src: Device, dst: Device) -> str | None:
         return "sigma"
     cap = config.PERFECTNESS_SCREEN_MAX_PARTITIONS
     if src.num_partitions <= cap and dst.num_partitions <= cap:
-        sm = minimize_cached(src).device
-        dm = minimize_cached(dst).device
+        sm = minimize(src).device
+        dm = minimize(dst).device
         if sm.num_states == dm.num_states and perfectness_index(sm) < perfectness_index(dm):
             return "perfectness"
     return None
@@ -117,13 +117,14 @@ def invariant_report(dev: Device) -> dict:
 # pairwise polynomial signature
 
 
+@once_per_device
 def _pair_counts(dev: Device) -> tuple[np.ndarray, np.ndarray]:
     """Block counts of meet and join for every ordered pair of reads.
 
     One-hot block matrices make the meet a single matrix product: entry
     (b, c) of the product counts states shared by block b and block c, so
     positive entries are the meet blocks and connected components of the
-    induced block-overlap graph are the join blocks.
+    induced block-overlap graph are the join blocks.  Both arrays are shared, read-only.
     """
     parts = dev.partitions
     q = len(parts)
@@ -156,6 +157,7 @@ def _pair_counts(dev: Device) -> tuple[np.ndarray, np.ndarray]:
         lead = ~(adj & earlier).any(axis=3)  # (ca, q, r)
         real = np.arange(r)[None, :] < nb[a0:a1, None]  # padding rows on the a axis
         joins[a0:a1] = (lead & real[:, None, :]).sum(axis=2)
+    meets.flags.writeable = joins.flags.writeable = False
     return meets, joins
 
 
@@ -179,7 +181,7 @@ def _signature_polys(depth: int):
     return [Var(1)] + [p for d in range(2, depth + 1) for p in levels[d]]
 
 
-@functools.lru_cache(maxsize=16)
+@once_per_device
 def poly_signature(dev: Device, depth: int = 2) -> tuple:
     """Multiset of per-pair block-count profiles; equal on equivalent minimal devices.
 

@@ -9,10 +9,9 @@ directions of the equivalence are returned as explicit witnesses.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .devices import Device
+from .devices import Device, once_per_device
 from .partitions import GroundSet, Partition
 from .witnesses import Reduction, verify_reduction
 
@@ -50,6 +49,7 @@ def _redundant_indices(parts: tuple[Partition, ...]) -> set[int]:
     return out
 
 
+@once_per_device
 def minimize(dev: Device) -> MinimizationResult:
     """Merge indistinguishable states, drop redundant reads, return witnesses."""
     meet = dev.meet_of_all()
@@ -60,26 +60,20 @@ def minimize(dev: Device) -> MinimizationResult:
     reduced = [Partition.from_raw(ground, (p.labels[i] for i in reps)) for p in dev.partitions]
 
     drop = _redundant_indices(tuple(reduced))
-    kept = [i for i in range(len(reduced)) if i not in drop]
-    mindev = Device(ground, [reduced[i] for i in kept])
+    mindev = Device(ground, [r for i, r in enumerate(reduced) if i not in drop])
 
-    to_alpha = []
-    for r in reduced:
-        choice = next(k for k, q in enumerate(mindev.partitions) if q.refines(r))
-        to_alpha.append(choice)
-    to_min = Reduction(tuple(meet.labels), tuple(to_alpha))
+    # kept reads form an antichain, refined only by their own slot; dropped reads need a scan
+    slot = {q.labels: k for k, q in enumerate(mindev.partitions)}
+    to_alpha = tuple(slot[r.labels] if i not in drop else
+                     next(k for k, q in enumerate(mindev.partitions) if q.refines(r))
+                     for i, r in enumerate(reduced))
+    to_min = Reduction(tuple(meet.labels), to_alpha)
 
-    from_alpha = []
-    for q in mindev.partitions:
-        choice = next(i for i, r in enumerate(reduced) if r == q)
-        from_alpha.append(choice)
-    from_min = Reduction(tuple(reps), tuple(from_alpha))
+    first: dict[tuple, int] = {}
+    for i, r in enumerate(reduced):
+        first.setdefault(r.labels, i)
+    from_min = Reduction(tuple(reps), tuple(first[q.labels] for q in mindev.partitions))
 
     if not verify_reduction(dev, mindev, to_min) or not verify_reduction(mindev, dev, from_min):
         raise RuntimeError("internal: minimization witness failed verification")
     return MinimizationResult(mindev, to_min, from_min)
-
-
-@functools.lru_cache(maxsize=512)
-def minimize_cached(dev: Device) -> MinimizationResult:
-    return minimize(dev)

@@ -288,6 +288,8 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
             if alive0 is None:
                 return None
 
+    # int16 cannot wrap: the guard keeps nd*nd*p + ne*ne*q <= 300 * 2**20, so nd, ne <= 17,736
+    # < 32,767, and every label and block owner is below its device's state count
     dlab = np.array([pi.labels for pi in pd], dtype=np.int16)  # (p, nd)
     elab = np.array([rho.labels for rho in pe], dtype=np.int16)  # (q, ne)
     dsep = (dlab[:, :, None] != dlab[:, None, :]).transpose(1, 2, 0)  # (nd, nd, p)

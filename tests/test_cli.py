@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from asdkit import cli
+from asdkit import cli, minimization
 
 INVARIANTS_L4XL2 = """\
 {
@@ -223,3 +223,20 @@ def test_output_flag_matches_stdout(files, capsys, tmp_path):
     target = tmp_path / "report.json"
     assert cli.main(["invariants", files("l4xl2.json"), "-o", str(target)]) == 0
     assert target.read_text(encoding="utf-8") == streamed
+
+
+def test_equiv_minimizes_each_side_once(tmp_path, monkeypatch, capsys):
+    """The signature certificate reuses the minimizations the decision made."""
+    calls = []
+    body = minimization._redundant_indices
+    monkeypatch.setattr(minimization, "_redundant_indices",
+                        lambda parts: calls.append(parts) or body(parts))
+    a = {"states": ["e0", "e1", "e2", "e3"],
+         "partitions": [[["e0", "e1"], ["e2", "e3"]], [["e0", "e2"], ["e1", "e3"]]]}
+    b = {"states": ["e0", "e1", "e2", "e3"],
+         "partitions": [[["e0"], ["e1"], ["e2", "e3"]], [["e0", "e1"], ["e2"], ["e3"]]]}
+    (tmp_path / "a.json").write_text(json.dumps(a))
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    assert cli.main(["equiv", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
+    assert json.loads(capsys.readouterr().out)["reason"] == "signature"
+    assert len(calls) == 2

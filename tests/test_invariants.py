@@ -189,3 +189,23 @@ def test_pair_counts_match_lattice_operations():
     for _ in range(40):
         _assert_pair_counts_exact(random_device(rng))
     _assert_pair_counts_exact(minimize(direct_product(L3, L3)).device)
+
+
+def test_memo_shares_results_and_skips_errors():
+    """Memoized values are computed once per device; a raising call stores nothing."""
+    from asdkit.devices import Device
+    dev = minimize(direct_product(L2, L3)).device
+    meets, joins = _pair_counts(dev)
+    assert _pair_counts(dev)[0] is meets
+    assert not meets.flags.writeable and not joins.flags.writeable
+    with pytest.raises(ValueError):
+        joins[0, 0] = 0
+    assert poly_signature(dev) is poly_signature(dev)
+    assert minimize(dev) is minimize(dev)
+    copy = Device(dev.states, dev.partitions)
+    assert copy == dev and minimize(copy) is not minimize(dev)
+    keys = set(dev._memo)
+    for _ in range(2):
+        with pytest.raises(LimitExceeded):
+            poly_signature(dev, depth=9)
+    assert set(dev._memo) == keys

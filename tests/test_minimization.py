@@ -100,3 +100,48 @@ def test_minimize_rejects_unverified_witness(monkeypatch):
     monkeypatch.setattr(minimization, "verify_reduction", lambda *args: False)
     with pytest.raises(RuntimeError, match="internal"):
         minimize(make_projective(2))
+
+
+def _device_with_merges_and_redundancy(rng) -> Device:
+    """Random device with copied states and reads coarser than other reads."""
+    n = rng.randint(2, 6)
+    rows = [[rng.randrange(rng.randint(1, n)) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+    copies = [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+    rows = [row + [row[s] for s in copies] for row in rows]  # copies merge with their source
+    for row in list(rows):
+        for _ in range(rng.randint(0, 2)):  # coarsen by merging two labels
+            a, b = rng.choice(row), rng.choice(row)
+            row = [a if x == b else x for x in row]
+            rows.append(row)
+    order = list(range(len(rows[0])))
+    rng.shuffle(order)
+    ground = GroundSet(f"s{i}" for i in order)
+    return Device(ground, [Partition.from_raw(ground, [row[i] for i in order]) for row in rows])
+
+
+def _refines_raw(fine, coarse) -> bool:
+    return all(coarse[x] == coarse[y]
+               for x in range(len(fine)) for y in range(x) if fine[x] == fine[y])
+
+
+def test_minimize_picks_least_valid_reads():
+    """Both alphas pick the least valid index, as a scan over raw labels finds it."""
+    rng = random.Random(131)
+    merged = dropped = 0
+    for _ in range(300):
+        d = _device_with_merges_and_redundancy(rng)
+        res = minimize(d)
+        rows = [p.labels for p in d.partitions]
+        sig = [tuple(row[x] for row in rows) for x in range(d.num_states)]
+        reps = [x for x in range(d.num_states) if sig.index(sig[x]) == x]
+        restricted = [[row[x] for x in reps] for row in rows]
+        kept = [q.labels for q in res.device.partitions]
+        assert res.from_min.phi == tuple(reps)
+        assert res.to_min.alpha == tuple(
+            min(k for k, q in enumerate(kept) if _refines_raw(q, r)) for r in restricted)
+        assert res.from_min.alpha == tuple(
+            min(i for i, r in enumerate(restricted) if _refines_raw(q, r) and _refines_raw(r, q))
+            for q in kept)
+        merged += len(reps) < d.num_states
+        dropped += len(kept) < len(rows)
+    assert merged > 50 and dropped > 50

@@ -1,0 +1,50 @@
+"""Property tests for the values each device memoizes: meet, minimization,
+perfectness index, pair counts and polynomial signature."""
+
+from hypothesis import given, settings, strategies as st
+
+from asdkit.devices import Device
+from asdkit.invariants import _pair_counts, perfectness_index, poly_signature
+from asdkit.minimization import minimize
+from asdkit.partitions import GroundSet, Partition
+from asdkit.reduction import random_equivalent
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def devices(draw) -> Device:
+    """Up to 6 states and 4 reads, with merged states and redundant reads allowed."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                         min_size=1, max_size=4))
+    ground = GroundSet(f"s{i}" for i in range(n))
+    return Device(ground, [Partition.from_raw(ground, row) for row in rows])
+
+
+@SETTINGS
+@given(devices(), st.integers(0, 2 ** 30))
+def test_relabelling_keeps_memoized_invariants(dev, seed):
+    m = minimize(dev).device
+    e, _ = random_equivalent(m, seed)
+    assert perfectness_index(e) == perfectness_index(m)
+    assert poly_signature(e) == poly_signature(m)
+    em = minimize(e).device
+    assert (em.num_states, em.num_partitions) == (m.num_states, m.num_partitions)
+
+
+def _memoized_values(dev: Device) -> tuple:
+    res = minimize(dev)
+    meets, joins = _pair_counts(dev)
+    return (dev.meet_of_all(), res.device, res.to_min, res.from_min, perfectness_index(dev),
+            meets.tolist(), joins.tolist(), poly_signature(dev), poly_signature(dev, depth=3))
+
+
+@SETTINGS
+@given(devices())
+def test_memoized_values_match_a_fresh_copy(dev):
+    first = _memoized_values(dev)
+    assert _memoized_values(dev) == first
+    copy = Device(dev.states, dev.partitions)
+    assert not copy._memo
+    assert _memoized_values(copy) == first

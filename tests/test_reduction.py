@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from asdkit import reduction
 from asdkit.devices import (
     Device,
     classify,
@@ -166,6 +167,23 @@ def test_search_node_counts_pinned(name):
     assert (search(nodes) is not None) == yes
     with pytest.raises(SearchBudgetExceeded):
         search(nodes - 1)
+
+
+def test_int16_labels_never_exceed_17736_states(monkeypatch):
+    """The numpy step keeps labels as int16; its memory guard keeps them below 32,767.
+
+    Its tables alone take ne**2 bytes for an ne-state target, and the guard
+    admits at most 300 * 2**20 bytes, so a 17,737-state target goes to the
+    bitmask step even against a 1-state source.
+    """
+    assert 17_736 ** 2 < 300 * 2 ** 20 < 17_737 ** 2
+    sentinel = object()
+    monkeypatch.setattr(reduction, "_search_reduction_bitmask", lambda *args: sentinel)
+    one = GroundSet(["x"])
+    big = GroundSet(str(i) for i in range(17_737))
+    src = Device(one, [Partition.top(one)])
+    dst = Device(big, [Partition.top(big)])
+    assert _search_reduction(src, dst, 10, True) is sentinel
 
 
 def test_product_composition_of_witnesses():
