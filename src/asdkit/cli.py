@@ -124,7 +124,7 @@ def _cmd_reduce(args) -> int:
     if reason is not None:
         _emit({"reason": reason}, None)
         return 1
-    red = find_reduction(src, dst, screen=False)
+    red = find_reduction(src, dst)
     if red is None:
         _emit({"reason": "no φ exists"}, None)
         return 1

@@ -185,9 +185,6 @@ class Partition:
     def is_top(self) -> bool:
         return self.num_blocks == 1
 
-    def same_block(self, i: int, j: int) -> bool:
-        return self.labels[i] == self.labels[j]
-
     # ------------------------------------------------------------------
     # lattice operations
 
@@ -297,15 +294,6 @@ class Meet(LatticePoly):
 class Join(LatticePoly):
     left: LatticePoly
     right: LatticePoly
-
-
-def poly_arity(poly: LatticePoly) -> int:
-    """Largest variable index mentioned by the polynomial."""
-    if isinstance(poly, Var):
-        return poly.index
-    if isinstance(poly, (Meet, Join)):
-        return max(poly_arity(poly.left), poly_arity(poly.right))
-    raise TypeError(f"not a lattice polynomial: {poly!r}")
 
 
 def poly_depth(poly: LatticePoly) -> int:

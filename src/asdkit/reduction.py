@@ -229,20 +229,22 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
     """Backtracking over phi with consistency, capacity and pair propagation.
 
     Candidates are a boolean (reads of src) x (reads of dst) matrix narrowed
-    after every assignment.  Consistency: a target read that merges the
-    images of a pair some source read separates is dropped for that read.
+    after every assignment.  Each surviving pair of reads records, per target
+    block, the source block owning the images in it.  Consistency: phi(x) = t
+    keeps a pair only if t's block is unowned or owned by x's block.
     Capacity (only when phi is forced injective, i.e. src is state-minimal):
-    for a surviving pair, each target block is owned by the first source
-    block mapped into it, and the unmet demand of all source blocks must fit
-    in the capacity of still-unowned target blocks.  Pair propagation: any
-    pullback has at least as many blocks merged as its source, so a valid
-    assignment needs |meet of target picks| >= |meet of the source pair| for
-    every pair of reads, and the join-count analogue when phi must be a
-    bijection; candidates with no compatible partner in some other row are
-    dropped until that stabilizes.  A bijective pullback also keeps the
-    target's block sizes, so those must regroup into the source's sizes by
-    exact subset sums.  Every pruning only removes choices that can never be
-    completed, so the witness stays lexicographically least.
+    source block b needs |b| distinct target states inside blocks it owns or
+    unowned ones, so with cap_b the size of b's blocks, the sum over b of
+    max(|b|, cap_b) must not exceed the target's state count.  Pair
+    propagation: any pullback has at least as many blocks merged as its
+    source, so a valid assignment needs |meet of target picks| >= |meet of
+    the source pair| for every pair of reads, and the join-count analogue
+    when phi must be a bijection; candidates with no compatible partner in
+    some other row are dropped until that stabilizes.  A bijective pullback
+    also keeps the target's block sizes, so those must regroup into the
+    source's sizes by exact subset sums.  Every pruning only removes choices
+    that can never be completed, so the witness stays lexicographically
+    least.
     """
     nd, ne = src.num_states, dst.num_states
     if injective and nd > ne:
@@ -255,8 +257,7 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
 
     # per-level snapshots make undo free; fall back if they would be huge
     frame_bytes = p * q * (2 * remax + 4 * rdmax + 10)
-    table_bytes = nd * nd * p + ne * ne * q
-    if frame_bytes * (nd + 1) + table_bytes > 300 * 2 ** 20:
+    if frame_bytes * (nd + 1) > 300 * 2 ** 20:
         return _search_reduction_bitmask(src, dst, budget, injective)
 
     alive0 = np.array([[be >= bd for be in nb_e] for bd in nb_d])
@@ -288,78 +289,56 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
             if alive0 is None:
                 return None
 
-    # int16 cannot wrap: the guard keeps nd*nd*p + ne*ne*q <= 300 * 2**20, so nd, ne <= 17,736
-    # < 32,767, and every label and block owner is below its device's state count
-    dlab = np.array([pi.labels for pi in pd], dtype=np.int16)  # (p, nd)
-    elab = np.array([rho.labels for rho in pe], dtype=np.int16)  # (q, ne)
-    dsep = (dlab[:, :, None] != dlab[:, None, :]).transpose(1, 2, 0)  # (nd, nd, p)
-    eeq = (elab[:, :, None] == elab[:, None, :]).transpose(1, 2, 0)  # (ne, ne, q)
-
+    # target labels index own and nothing bounds them below 32,767, so they are
+    # intp; owners are source block ids, and the guard's 4 * rdmax * (nd + 1) <=
+    # 300 * 2**20 with rdmax <= nd admits at most 8,867 blocks, so int16 holds them
+    b_of = np.array([pi.labels for pi in pd], dtype=np.int16).T  # (nd, p) block of x per source read
+    c_of = np.array([rho.labels for rho in pe], dtype=np.intp).T  # (ne, q) block of t per target read
     esizes = np.zeros((q, remax), dtype=np.int32)
     for j, rho in enumerate(pe):
         esizes[j, :nb_e[j]] = rho.block_sizes()
-    csz_t = np.stack([esizes[np.arange(q), elab[:, t]] for t in range(ne)])  # (ne, q)
-    cel_t = elab.T.copy()  # (ne, q) block of state t in each target read
-
-    need0 = np.zeros((p, rdmax), dtype=np.int32)
+    csz_t = esizes[np.arange(q), c_of]  # (ne, q) size of the block of t
+    dsizes = np.zeros((p, rdmax), dtype=np.int32)
     for i, pi in enumerate(pd):
-        need0[i, :nb_d[i]] = pi.block_sizes()
+        dsizes[i, :nb_d[i]] = pi.block_sizes()
+
     own0 = np.full((p, q, remax), -1, dtype=np.int16)
-    ofree0 = np.zeros((p, q, rdmax), dtype=np.int32)
-    ufree0 = np.full((p, q), ne, dtype=np.int32)
-    defc0 = np.full((p, q), nd, dtype=np.int32)
+    cap0 = np.zeros((p, q, rdmax), dtype=np.int32)
+    load0 = np.full((p, q), nd, dtype=np.int32)  # every cap_b is 0, so the sum of |b|
 
-    ar_p = np.arange(p)
-    ip = ar_p[:, None]
+    ip = np.arange(p)[:, None]
     jq = np.arange(q)[None, :]
-    b_of = dlab.T  # (nd, p)
-
-    img = np.empty(nd, dtype=np.int64)  # img[y] = phi(y) for every y below the current x
 
     def extend(frame, x, t):
-        alive_p, own_p, ofree_p, ufree_p, defc_p, need_p = frame
-        img[x] = t
-        if x:
-            a = dsep[x, :x, :]  # (x, p)
-            e = eeq[t, img[:x], :]  # (x, q)
-            kill = (a.T.astype(np.float32) @ e.astype(np.float32)) > 0
-            alive = alive_p & ~kill
-        else:
-            alive = alive_p.copy()
+        alive, own, cap, load = frame
+        b = b_of[x][:, None]  # (p, 1)
+        c = c_of[t]  # (q,)
+        own_bc = own[ip, jq, c]
+        free = own_bc < 0
+        alive = alive & (free | (own_bc == b))
         if not alive.any(axis=1).all():
             return None
+        newclaim = alive & free
         if injective:
-            b = b_of[x]  # (p,) source block of x per read
-            c = cel_t[t]  # (q,) target block of t per read
-            csz = csz_t[t]  # (q,)
-            own_bc = own_p[ip, jq, c[None, :]]
-            newclaim = alive & (own_bc < 0)
-            ofree_b = ofree_p[ip, jq, b[:, None]]
-            delta = np.where(newclaim, csz[None, :] - 1, np.where(alive, -1, 0))
-            need_b = need_p[ar_p, b]
-            old_term = np.maximum(0, need_b[:, None] - ofree_b)
-            new_ofree_b = ofree_b + delta
-            new_term = np.maximum(0, (need_b - 1)[:, None] - new_ofree_b)
-            ufree = ufree_p - np.where(newclaim, csz[None, :], 0)
-            defc = np.where(alive, defc_p + new_term - old_term, defc_p)
-            alive &= ~(alive & (defc > ufree))
+            cap_b = cap[ip, jq, b]
+            new_cap_b = cap_b + np.where(newclaim, csz_t[t], 0)
+            size_b = dsizes[ip, b]
+            load = load + np.maximum(size_b, new_cap_b) - np.maximum(size_b, cap_b)
+            alive &= load <= ne
             if not alive.any(axis=1).all():
                 return None
         if ac is not None:
             alive = _ac_narrow(alive, ac)
             if alive is None:
                 return None
-        if not injective:
-            return (alive, own_p, ofree_p, ufree_p, defc_p, need_p)
-        own = own_p.copy()
-        own[ip, jq, c[None, :]] = np.where(newclaim, b[:, None].astype(np.int16), own_bc)
-        ofree = ofree_p.copy()
-        ofree[ip, jq, b[:, None]] = new_ofree_b
-        need = need_p.copy()
-        need[ar_p, b] -= 1
-        return (alive, own, ofree, ufree, defc, need)
+        own = own.copy()
+        own[ip, jq, c] = np.where(newclaim, b, own_bc)
+        if injective:
+            cap = cap.copy()
+            cap[ip, jq, b] = new_cap_b
+        return alive, own, cap, load
 
-    hit = _backtrack(nd, ne, (alive0, own0, ofree0, ufree0, defc0, need0), extend, budget, injective)
+    hit = _backtrack(nd, ne, (alive0, own0, cap0, load0), extend, budget, injective)
     if hit is None:
         return None
     phi, final = hit
@@ -400,21 +379,20 @@ def find_reduction(
     dst: Device,
     *,
     budget: int = config.SEARCH_NODE_BUDGET,
-    screen: bool = True,
     structural: bool = True,
 ) -> Reduction | None:
     """Lexicographically least reduction src -> dst, or None if there is none.
 
-    With screen=True the monotone-invariant prescreen runs first and can
-    refute without searching.  With structural=True a matching pair of
-    certified binary factorizations can refute through the index-partition
-    criterion; both steps refute only, so any witness still comes from the
-    generic search and stays lexicographically least.  Pass structural=False
-    to force the generic decision, e.g. when the search itself is under
-    test.  phi is forced injective whenever src is state-minimal (any valid
-    phi is then injective, so nothing is lost).
+    The monotone-invariant prescreen runs first and can refute without
+    searching.  With structural=True a matching pair of certified binary
+    factorizations can refute through the index-partition criterion; both
+    steps refute only, so any witness still comes from the generic search
+    and stays lexicographically least.  Pass structural=False to force the
+    generic decision, e.g. when the search itself is under test.  phi is
+    forced injective whenever src is state-minimal (any valid phi is then
+    injective, so nothing is lost).
     """
-    if screen and prescreen(src, dst) is not None:
+    if prescreen(src, dst) is not None:
         return None
     if structural and _structural_refute(src, dst, budget):
         return None

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .devices import Device
 from .errors import DomainMismatch, UnknownLabel
-from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -45,24 +44,21 @@ def _check_shape(src: Device, dst: Device, red: Reduction) -> None:
         raise DomainMismatch("alpha maps outside the target partition family")
 
 
-def pulled_back_labels(target: Partition, phi: tuple[int, ...]) -> tuple:
-    """Raw block codes of the pullback of `target` along an index map."""
-    lab = target.labels
-    return tuple(lab[t] for t in phi)
-
-
 def verify_reduction(src: Device, dst: Device, red: Reduction) -> bool:
     """Check alpha(pi) pulled back along phi refines pi, for every pi.
 
-    Shape problems (wrong lengths, out-of-range indices) raise
+    That holds when each block of alpha(pi) receives states of one block of
+    pi only.  Shape problems (wrong lengths, out-of-range indices) raise
     DomainMismatch; a well-shaped witness that fails the refinement
     condition just returns False.
     """
     _check_shape(src, dst, red)
     for pi, j in zip(src.partitions, red.alpha):
-        pulled = Partition.from_raw(src.states, pulled_back_labels(dst.partitions[j], red.phi))
-        if not pulled.refines(pi):
-            return False
+        lab = dst.partitions[j].labels
+        owner: dict[int, int] = {}  # target block -> the source block mapped into it
+        for t, b in zip(red.phi, pi.labels):
+            if owner.setdefault(lab[t], b) != b:
+                return False
     return True
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from asdkit import cli, minimization
+from asdkit.graphs import graph_device, make_graph
 
 INVARIANTS_L4XL2 = """\
 {
@@ -240,3 +241,20 @@ def test_equiv_minimizes_each_side_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["equiv", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
     assert json.loads(capsys.readouterr().out)["reason"] == "signature"
     assert len(calls) == 2
+
+
+def test_gen_graph_device_and_equiv_without_certificate(tmp_path, capsys):
+    """C6 and two triangles share their depth-2 signatures, so no certificate exists."""
+    cycle = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("a", "f")]
+    triangles = [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f")]
+    devices = []
+    for name, edges in (("c6", cycle), ("2k3", triangles)):
+        graph = tmp_path / f"{name}.json"
+        graph.write_text(json.dumps({"vertices": list("abcdef"), "edges": edges}))
+        assert cli.main(["gen", "graph-device", str(graph)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == graph_device(make_graph("abcdef", edges)).to_dict()
+        devices.append(tmp_path / f"{name}-device.json")
+        devices[-1].write_text(out)
+    assert cli.main(["equiv", *map(str, devices)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"reason": "not equivalent"}

@@ -102,6 +102,10 @@ def test_factor_binary_splits_off_perfect_part():
     assert decide_equivalence(big, L2) is not None
 
 
+def test_factor_binary_of_one_state_device_is_empty():
+    assert factor_binary(make_perfect(1)) == []
+
+
 def test_factor_binary_negatives():
     assert factor_binary(make_perfect(3)) is None
     # 6 = 2*3: no all-binary splitting exists

@@ -139,6 +139,10 @@ NODE_PINS = {
         lambda b: _search_reduction(K4, OCTAHEDRON, b, True), 474, False),
     "numpy random pair 9": (
         lambda b: _search_reduction(*_random_pair(9), b, True), 279, True),
+    "numpy random pair 9, not injective": (
+        lambda b: _search_reduction(*_random_pair(9), b, False), 412, True),
+    "numpy random pair 60, not injective": (
+        lambda b: _search_reduction(*_random_pair(60), b, False), 60, False),
     "bitmask random pair 9": (
         lambda b: _search_reduction_bitmask(*_random_pair(9), b, True), 1301, True),
     "bitmask K4 -> octahedron": (
@@ -169,21 +173,39 @@ def test_search_node_counts_pinned(name):
         search(nodes - 1)
 
 
-def test_int16_labels_never_exceed_17736_states(monkeypatch):
-    """The numpy step keeps labels as int16; its memory guard keeps them below 32,767.
+def test_numpy_step_decides_against_a_40000_state_target(monkeypatch):
+    """The numpy step holds no table that grows with the square of the target.
 
-    Its tables alone take ne**2 bytes for an ne-state target, and the guard
-    admits at most 300 * 2**20 bytes, so a 17,737-state target goes to the
-    bitmask step even against a 1-state source.
+    Its target labels are intp, so 40,000 states do not wrap at 32,767, and
+    its memory guard, which counts only the per-level frames, keeps such a
+    target in the numpy step.
     """
-    assert 17_736 ** 2 < 300 * 2 ** 20 < 17_737 ** 2
+    def refuse(*args):
+        pytest.fail("handed to the bitmask step")
+
+    monkeypatch.setattr(reduction, "_search_reduction_bitmask", refuse)
+    big = GroundSet(str(i) for i in range(40_000))
+    dst = Device(big, [Partition.identity(big)])
+    one, two = GroundSet(["x"]), GroundSet(["x", "y"])
+    assert _search_reduction(Device(one, [Partition.top(one)]), dst, 10, True) == \
+        Reduction((0,), (0,))
+    assert _search_reduction(Device(two, [Partition.identity(two)]), dst, 10, True) == \
+        Reduction((0, 1), (0,))
+
+
+def test_int16_owners_never_exceed_8867_blocks(monkeypatch):
+    """The numpy step keeps block owners as int16; its memory guard keeps them below 32,767.
+
+    Its frames alone take 4 * rdmax * (nd + 1) bytes for a source of nd states
+    and at most rdmax <= nd blocks per read, and the guard admits at most
+    300 * 2**20 bytes, so an 8,868-block source goes to the bitmask step.
+    """
+    assert 4 * 8_867 * 8_868 <= 300 * 2 ** 20 < 4 * 8_868 * 8_869
     sentinel = object()
     monkeypatch.setattr(reduction, "_search_reduction_bitmask", lambda *args: sentinel)
-    one = GroundSet(["x"])
-    big = GroundSet(str(i) for i in range(17_737))
-    src = Device(one, [Partition.top(one)])
-    dst = Device(big, [Partition.top(big)])
-    assert _search_reduction(src, dst, 10, True) is sentinel
+    g = GroundSet(str(i) for i in range(8_868))
+    dev = Device(g, [Partition.identity(g)])
+    assert _search_reduction(dev, dev, 10, True) is sentinel
 
 
 def test_product_composition_of_witnesses():
