@@ -276,8 +276,10 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
         if not alive0.any(axis=1).all():
             return None
 
+    # _pair_counts takes ~4 bytes per read, block and state; as blocks <= states,
+    # every input with nd*nd*p + ne*ne*q <= 300 MB keeps pair propagation
     ac = None
-    if p >= 2 and p * p * q * q <= 40_000_000:
+    if p >= 2 and p * p * q * q <= 40_000_000 and p * rdmax * nd + q * remax * ne <= 300 * 2 ** 20:
         dm, dj = _pair_counts(src)
         em, ej = _pair_counts(dst)
         allow = em[None, None, :, :] >= dm[:, :, None, None]
@@ -319,7 +321,8 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
         if not alive.any(axis=1).all():
             return None
         newclaim = alive & free
-        if injective:
+        claims = newclaim.any()  # if not, own, cap and load stay the parent's, which nothing mutates
+        if injective and claims:
             cap_b = cap[ip, jq, b]
             new_cap_b = cap_b + np.where(newclaim, csz_t[t], 0)
             size_b = dsizes[ip, b]
@@ -327,15 +330,14 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
             alive &= load <= ne
             if not alive.any(axis=1).all():
                 return None
-        if ac is not None:
-            alive = _ac_narrow(alive, ac)
-            if alive is None:
-                return None
-        own = own.copy()
-        own[ip, jq, c] = np.where(newclaim, b, own_bc)
-        if injective:
-            cap = cap.copy()
-            cap[ip, jq, b] = new_cap_b
+        if ac is not None and (alive := _ac_narrow(alive, ac)) is None:
+            return None
+        if claims:
+            own = own.copy()
+            own[ip, jq, c] = np.where(newclaim, b, own_bc)
+            if injective:
+                cap = cap.copy()
+                cap[ip, jq, b] = new_cap_b
         return alive, own, cap, load
 
     hit = _backtrack(nd, ne, (alive0, own0, cap0, load0), extend, budget, injective)

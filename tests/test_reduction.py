@@ -178,12 +178,20 @@ def test_numpy_step_decides_against_a_40000_state_target(monkeypatch):
 
     Its target labels are intp, so 40,000 states do not wrap at 32,767, and
     its memory guard, which counts only the per-level frames, keeps such a
-    target in the numpy step.
+    target in the numpy step.  The pair-count pass would take gigabytes on
+    this target, so pair propagation is skipped, also for a 2-read source.
     """
     def refuse(*args):
         pytest.fail("handed to the bitmask step")
 
+    def small_pair_counts(dev):
+        if dev.num_states > 1000:
+            pytest.fail(f"pair counts taken on {dev.num_states} states")
+        return pair_counts(dev)
+
+    pair_counts = reduction._pair_counts
     monkeypatch.setattr(reduction, "_search_reduction_bitmask", refuse)
+    monkeypatch.setattr(reduction, "_pair_counts", small_pair_counts)
     big = GroundSet(str(i) for i in range(40_000))
     dst = Device(big, [Partition.identity(big)])
     one, two = GroundSet(["x"]), GroundSet(["x", "y"])
@@ -191,6 +199,10 @@ def test_numpy_step_decides_against_a_40000_state_target(monkeypatch):
         Reduction((0,), (0,))
     assert _search_reduction(Device(two, [Partition.identity(two)]), dst, 10, True) == \
         Reduction((0, 1), (0,))
+    dst2 = Device(big, [Partition.identity(big), Partition.top(big)])
+    src2 = Device(two, [Partition.identity(two), Partition.top(two)])
+    assert _search_reduction(src2, dst2, 10, True) == Reduction((0, 1), (0, 1))
+    assert _search_reduction(src2, dst2, 10, False) == Reduction((0, 1), (0, 1))
 
 
 def test_int16_owners_never_exceed_8867_blocks(monkeypatch):
