@@ -1,8 +1,9 @@
-"""Default size caps and budgets.
+"""Size caps and budgets.
 
-Every cap below is a default for a keyword argument, never a hard limit;
-callers may pass larger values explicitly.  Defaults are sized so that the
-full test suite runs in seconds.
+Most entries are defaults for keyword arguments, which callers may raise
+explicitly.  MAX_DEVICE_PARTITIONS, MAX_SIGNATURE_DEPTH, MAX_FACTOR_STATES and
+MAX_BRUTE_VERTICES are read directly and are hard limits.  Values are sized so
+that the full test suite runs in seconds.
 """
 
 # make_projective: number of binary cells
@@ -22,9 +23,6 @@ MAX_KREAD_PARTITIONS = 20000
 
 # backtracking searches: nodes explored before giving up
 SEARCH_NODE_BUDGET = 10_000_000
-
-# prescreen: skip the perfectness-index screen above this partition count
-PERFECTNESS_SCREEN_MAX_PARTITIONS = 128
 
 # poly_signature: maximum expression depth
 MAX_SIGNATURE_DEPTH = 4

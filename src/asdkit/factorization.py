@@ -36,15 +36,27 @@ from .witnesses import Reduction, verify_reduction
 IndexPartition = tuple[frozenset[int], ...]
 
 
-def _check_factors(devs: list[Device], side: str) -> None:
-    for k, d in enumerate(devs):
-        cls = classify(d)
-        if not cls.binary:
-            raise HypothesisViolation(f"{side}[{k}] is not binary")
-        if cls.perfect:
-            raise HypothesisViolation(f"{side}[{k}] is perfect")
-        if not is_state_minimal(d):
-            raise HypothesisViolation(f"{side}[{k}] is not state-minimal")
+def _check_factors(ds, es) -> tuple[list[Device], list[Device], list[int], list[int]]:
+    """Both factor lists and their state counts, once every hypothesis holds:
+    nonempty lists of binary, non-perfect, state-minimal devices whose
+    state-count products agree."""
+    ds, es = list(ds), list(es)
+    if not ds or not es:
+        raise HypothesisViolation("factor lists must be nonempty")
+    for side, devs in (("Ds", ds), ("Es", es)):
+        for k, d in enumerate(devs):
+            cls = classify(d)
+            if not cls.binary:
+                raise HypothesisViolation(f"{side}[{k}] is not binary")
+            if cls.perfect:
+                raise HypothesisViolation(f"{side}[{k}] is perfect")
+            if not is_state_minimal(d):
+                raise HypothesisViolation(f"{side}[{k}] is not state-minimal")
+    sd = [d.num_states for d in ds]
+    se = [e.num_states for e in es]
+    if math.prod(sd) != math.prod(se):
+        raise HypothesisViolation("state-count products differ")
+    return ds, es, sd, se
 
 
 def _rgs_strings(n: int, m: int):
@@ -84,15 +96,7 @@ def binary_product_reduce(
     and every sub-witness is re-verified.  The first valid grouping is
     returned; None means no grouping works, hence no reduction at all.
     """
-    ds, es = list(ds), list(es)
-    if not ds or not es:
-        raise HypothesisViolation("factor lists must be nonempty")
-    _check_factors(ds, "Ds")
-    _check_factors(es, "Es")
-    sd = [d.num_states for d in ds]
-    se = [e.num_states for e in es]
-    if math.prod(sd) != math.prod(se):
-        raise HypothesisViolation("state-count products differ")
+    ds, es, sd, se = _check_factors(ds, es)
     m, n = len(ds), len(es)
     if m > n:
         return None
@@ -144,15 +148,7 @@ def extract_index_partition(red: Reduction, ds, es) -> IndexPartition:
     failure raises NonUniqueTau, as does a witness that is not a bijection
     or does not verify.
     """
-    ds, es = list(ds), list(es)
-    if not ds or not es:
-        raise HypothesisViolation("factor lists must be nonempty")
-    _check_factors(ds, "Ds")
-    _check_factors(es, "Es")
-    sd = [d.num_states for d in ds]
-    se = [e.num_states for e in es]
-    if math.prod(sd) != math.prod(se):
-        raise HypothesisViolation("state-count products differ")
+    ds, es, sd, se = _check_factors(ds, es)
     prod_d = product_of(ds)
     prod_e = product_of(es)
     if not verify_reduction(prod_d, prod_e, red):
@@ -218,14 +214,10 @@ def _binary_candidates(s: int) -> tuple[Device, ...]:
     small and full enumeration is affordable.
     """
     ground = GroundSet(str(i) for i in range(s))
-    # one partition per subset containing state 0 (its complement names the
-    # same partition)
-    two_blocks = []
-    for mask in range(1, 2 ** (s - 1)):
-        bits = [0] + [(mask >> (i - 1)) & 1 for i in range(1, s)]
-        if min(bits) == max(bits):
-            continue
-        two_blocks.append(Partition.from_raw(ground, bits))
+    # one partition per subset holding state 0 (its complement names the same
+    # partition); mask >= 1 keeps the other block nonempty
+    two_blocks = [Partition.from_raw(ground, [0] + [(mask >> (i - 1)) & 1 for i in range(1, s)])
+                  for mask in range(1, 2 ** (s - 1))]
     out = []
     seen = set()
     perms = list(itertools.permutations(range(s)))

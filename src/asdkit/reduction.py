@@ -442,8 +442,6 @@ def _search_bijection(src: Device, dst: Device, budget: int):
     allowed = [with_prof[prof] for prof in prof_src]
 
     init = _read_masks(ms_src, ms_dst, operator.eq)
-    if init is None:
-        return None
     hit = _backtrack(nd, ne, init, _mask_step(src, dst, True), budget, True, allowed)
     if hit is None:
         return None

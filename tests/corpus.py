@@ -7,6 +7,7 @@ something that cannot share its bugs.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, permutations, product
 
 from asdkit.devices import Device, classify
@@ -107,6 +108,17 @@ def reducible_pair(rng) -> tuple[Device, Device]:
     return Device(ground, parts), dst
 
 
+def with_coarsened_reads(dev: Device) -> Device:
+    """dev plus, for each read, every read made by merging two of its blocks.
+
+    The new reads are refined by the read they come from, so the device
+    minimizes back to dev's minimum while its read count grows many-fold.
+    """
+    extra = [Partition.from_raw(dev.states, (a if lab == b else lab for lab in p.labels))
+             for p in dev.partitions for a, b in combinations(range(p.num_blocks), 2)]
+    return Device(dev.states, dev.partitions + tuple(extra))
+
+
 # ----------------------------------------------------------------------
 # oracles
 
@@ -179,6 +191,17 @@ def _pulled_refines(target_labels, phi, source_labels, n: int) -> bool:
         if got != source_labels[x]:
             return False
     return True
+
+
+def perfectness_oracle(dev: Device):
+    """Least k such that some k reads' raw labels, zipped, tell every state
+    apart, or math.inf when no choice of reads does."""
+    rows = [p.labels for p in dev.partitions]
+    for k in range(1, len(rows) + 1):
+        for chosen in combinations(rows, k):
+            if len(set(zip(*chosen))) == dev.num_states:
+                return k
+    return math.inf
 
 
 def clique_oracle(g: Graph, k: int) -> bool:

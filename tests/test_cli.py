@@ -5,7 +5,10 @@ import json
 import pytest
 
 from asdkit import cli, minimization
+from asdkit.devices import direct_product, make_linear
 from asdkit.graphs import graph_device, make_graph
+
+from corpus import with_coarsened_reads
 
 INVARIANTS_L4XL2 = """\
 {
@@ -96,6 +99,25 @@ def test_reduce_reason_perfectness(files, capsys):
     code = cli.main(["reduce", files("l3xl3.json"), files("l4xl2.json")])
     assert code == 1
     assert json.loads(capsys.readouterr().out) == {"reason": "perfectness"}
+
+
+def test_reduce_reason_perfectness_above_128_reads(files, capsys, tmp_path):
+    many = with_coarsened_reads(direct_product(make_linear(4), make_linear(2)))
+    assert many.num_partitions == 315
+    (tmp_path / "many.json").write_text(json.dumps(many.to_dict()))
+    code = cli.main(["reduce", files("l3xl3.json"), str(tmp_path / "many.json")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {"reason": "perfectness"}
+
+
+def test_invariants_of_a_1024_state_product(files, capsys, tmp_path):
+    l4xl3 = str(tmp_path / "l4xl3.json")
+    big = str(tmp_path / "l4xl3xl3.json")
+    assert cli.main(["product", files("l4.json"), files("l3.json"), "-o", l4xl3]) == 0
+    assert cli.main(["product", l4xl3, files("l3.json"), "-o", big]) == 0
+    assert cli.main(["invariants", big]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "capacity": 3, "sigma": 10, "perfectness_index": 4}
 
 
 def test_reduce_no_phi(files, capsys):

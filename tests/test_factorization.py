@@ -6,6 +6,7 @@ import random
 import pytest
 
 from asdkit.devices import (
+    Device,
     classify,
     direct_product,
     make_linear,
@@ -21,6 +22,7 @@ from asdkit.factorization import (
     factor_perfect,
 )
 from asdkit.minimization import minimize
+from asdkit.partitions import GroundSet, Partition
 from asdkit.reduction import decide_equivalence, find_reduction
 from asdkit.witnesses import Reduction, identity_reduction
 
@@ -48,6 +50,20 @@ def test_binary_product_reduce_rejects_bad_inputs():
         binary_product_reduce([make_perfect(4)], [L2])  # not binary
     with pytest.raises(HypothesisViolation):
         binary_product_reduce([L2], [L3])  # state products differ
+
+
+def test_factor_lists_are_checked_before_any_search():
+    with pytest.raises(HypothesisViolation, match="nonempty"):
+        binary_product_reduce([], [L2])
+    with pytest.raises(HypothesisViolation, match="nonempty"):
+        extract_index_partition(identity_reduction(L2), [L2], [])
+    g = GroundSet("abcd")
+    merged = Device(g, [Partition.from_blocks(g, [["a", "b"], ["c", "d"]]),
+                        Partition.from_blocks(g, [["a", "b", "c"], ["d"]])])
+    with pytest.raises(HypothesisViolation, match=r"Es\[1\] is not state-minimal"):
+        binary_product_reduce([L4], [L2, merged])
+    with pytest.raises(HypothesisViolation, match="state-count products differ"):
+        extract_index_partition(identity_reduction(L2), [L2], [L3])
 
 
 def test_binary_product_reduce_more_blocks_than_factors():

@@ -28,7 +28,7 @@ from asdkit.invariants import (
 from asdkit.minimization import minimize
 from asdkit.reduction import random_equivalent
 
-from corpus import random_device
+from corpus import random_device, with_coarsened_reads
 
 L2 = make_linear(2)
 L3 = make_linear(3)
@@ -88,6 +88,13 @@ def test_prescreen_examples():
     assert prescreen(l3sq, l3sq) is None
     # sigma fires when capacity cannot
     assert prescreen(make_projective(3), make_projective(2)) == "sigma"
+
+
+def test_prescreen_runs_the_perfectness_screen_above_128_reads():
+    many = with_coarsened_reads(direct_product(L4, L2))
+    assert many.num_partitions == 315
+    assert minimize(many).device.num_partitions == 45
+    assert prescreen(direct_product(L3, L3), many) == "perfectness"
 
 
 def test_sigma_capacity_bound():

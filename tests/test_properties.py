@@ -1,13 +1,16 @@
 """Property tests for the values each device memoizes: meet, minimization,
-perfectness index, pair counts and polynomial signature."""
+perfectness index, pair counts and polynomial signature; the index is also
+checked against an exhaustive oracle and the product rule."""
 
 from hypothesis import given, settings, strategies as st
 
-from asdkit.devices import Device
+from asdkit.devices import Device, direct_product
 from asdkit.invariants import _pair_counts, perfectness_index, poly_signature
 from asdkit.minimization import minimize
 from asdkit.partitions import GroundSet, Partition
 from asdkit.reduction import random_equivalent
+
+from corpus import perfectness_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -48,3 +51,19 @@ def test_memoized_values_match_a_fresh_copy(dev):
     copy = Device(dev.states, dev.partitions)
     assert not copy._memo
     assert _memoized_values(copy) == first
+
+
+@SETTINGS
+@given(devices())
+def test_perfectness_index_matches_the_oracle(dev):
+    assert perfectness_index(dev) == perfectness_oracle(dev)
+
+
+@SETTINGS
+@given(devices(), devices())
+def test_perfectness_index_of_a_product_is_the_larger_index(a, b):
+    # a meet of product reads is the product of the factor meets; both sides
+    # minimized have at most 6 states, so the product has at most 36
+    am, bm = minimize(a).device, minimize(b).device
+    ab = direct_product(am, bm)
+    assert perfectness_index(ab) == max(perfectness_index(am), perfectness_index(bm))
