@@ -21,7 +21,7 @@ from .errors import (
     LimitExceeded,
     PreconditionMismatch,
 )
-from .partitions import GroundSet, Partition, product_ground
+from .partitions import GroundSet, Partition, _dense, product_ground
 
 
 def once_per_device(fn):
@@ -65,8 +65,13 @@ class Device:
 
     @once_per_device
     def meet_of_all(self) -> Partition:
-        """Meet of the whole partition family."""
-        return functools.reduce(Partition.meet, self.partitions)
+        """Meet of the whole partition family, folded on labels until every state is apart."""
+        labels, k = self.partitions[0].labels, self.partitions[0].num_blocks
+        for p in self.partitions[1:]:
+            if k == len(labels):
+                break
+            labels, k = _dense(zip(labels, p.labels))
+        return Partition(self.states, labels, k)
 
     def with_name(self, name: str | None) -> "Device":
         d = Device(self.states, self.partitions, name)

@@ -150,24 +150,27 @@ def _pair_counts(dev: Device) -> tuple[np.ndarray, np.ndarray]:
     joins = np.empty((q, q), dtype=np.int64)
     eye = np.eye(r, dtype=bool)
     earlier = np.tri(r, k=-1, dtype=bool)  # earlier[i, j] iff j < i
-    closure_steps = max(1, math.ceil(math.log2(max(2, r))))
     chunk = max(1, (1 << 22) // max(1, q * r * r))
-    for a0 in range(0, q, chunk):
+    for a0 in range(0, q, chunk):  # both counts are symmetric: rows a, columns b >= a0
         a1 = min(q, a0 + chunk)
         ca = a1 - a0
-        g = one[a0:a1].reshape(ca * r, n) @ flat.T
-        m = (g.reshape(ca, r, q, r) > 0).transpose(0, 2, 1, 3)  # (ca, q, r_a, r_b)
-        meets[a0:a1] = m.sum(axis=(2, 3))
+        g = one[a0:a1].reshape(ca * r, n) @ flat[a0 * r:].T
+        m = (g.reshape(ca, r, q - a0, r) > 0).transpose(0, 2, 1, 3)  # (ca, q - a0, r_a, r_b)
+        meets[a0:a1, a0:] = m.sum(axis=(2, 3))
         mf = m.astype(np.float32)
         adj = (mf @ mf.swapaxes(2, 3)) > 0  # blocks of a sharing a block of b
         adj |= eye
-        for _ in range(closure_steps):
+        while True:  # square to the transitive closure: reflexive with A @ A == A
             af = adj.astype(np.float32)
-            adj = (af @ af) > 0
+            adj, prev = (af @ af) > 0, adj
+            if np.array_equal(adj, prev):
+                break
         # each join block is counted once, at its lowest block of a
-        lead = ~(adj & earlier).any(axis=3)  # (ca, q, r)
+        lead = ~(adj & earlier).any(axis=3)  # (ca, q - a0, r)
         real = np.arange(r)[None, :] < nb[a0:a1, None]  # padding rows on the a axis
-        joins[a0:a1] = (lead & real[:, None, :]).sum(axis=2)
+        joins[a0:a1, a0:] = (lead & real[:, None, :]).sum(axis=2)
+    low = np.tril_indices(q, -1)
+    meets[low], joins[low] = meets.T[low], joins.T[low]
     meets.flags.writeable = joins.flags.writeable = False
     return meets, joins
 
@@ -206,10 +209,10 @@ def poly_signature(dev: Device, depth: int = 2) -> tuple:
     q = len(parts)
     if depth == 2:
         meets, joins = _pair_counts(dev)
-        nb = [p.num_blocks for p in parts]
-        return tuple(sorted(
-            (nb[a], int(meets[a, b]), int(joins[a, b]))
-            for a in range(q) for b in range(q)))
+        nb = np.array([p.num_blocks for p in parts], dtype=np.int64)
+        cols = (np.repeat(nb, q), meets.ravel(), joins.ravel())
+        order = np.lexsort(cols[::-1])  # last key is primary: sorted as tuples
+        return tuple(zip(*(c[order].tolist() for c in cols)))
     polys = _signature_polys(depth)
     profiles = []
     for pa in parts:

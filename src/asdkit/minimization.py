@@ -56,8 +56,10 @@ def minimize(dev: Device) -> MinimizationResult:
     reps = [block[0] for block in meet.blocks]  # least state index per merged class
     ground = GroundSet(dev.states.elements[i] for i in reps)
 
-    # each original partition restricted to the representatives
-    reduced = [Partition.from_raw(ground, (p.labels[i] for i in reps)) for p in dev.partitions]
+    # each read restricted to the ascending reps: a block's first state is its meet class's
+    # least state, so a rep, and the restricted labels stay first-occurrence dense
+    reduced = [Partition(ground, tuple([p.labels[i] for i in reps]), p.num_blocks)
+               for p in dev.partitions]
 
     drop = _redundant_indices(tuple(reduced))
     mindev = Device(ground, [r for i, r in enumerate(reduced) if i not in drop])

@@ -198,6 +198,27 @@ def test_pair_counts_match_lattice_operations():
     _assert_pair_counts_exact(minimize(direct_product(L3, L3)).device)
 
 
+def test_pair_counts_across_chunk_boundaries():
+    """Counts computed above the diagonal and mirrored below agree with the lattice."""
+    from asdkit.devices import Device
+    from asdkit.partitions import GroundSet, Partition
+    rng = random.Random(300)
+    g = GroundSet(f"s{i}" for i in range(40))
+    dev = Device(g, [Partition.from_raw(g, [rng.randrange(8) for _ in range(40)])
+                     for _ in range(300)])
+    parts = dev.partitions
+    q, r = len(parts), max(p.num_blocks for p in parts)
+    chunk = (1 << 22) // (q * r * r)  # rows per chunk in _pair_counts
+    assert chunk < q
+    meets, joins = _pair_counts(dev)
+    assert (meets == meets.T).all() and (joins == joins.T).all()
+    pairs = [(a, a) for a in range(q)]
+    pairs += [(a, b) for c in range(chunk, q, chunk) for a in range(c) for b in range(c, q)]
+    for a, b in pairs:
+        assert meets[a, b] == parts[a].meet(parts[b]).num_blocks
+        assert joins[a, b] == parts[a].join(parts[b]).num_blocks
+
+
 def test_memo_shares_results_and_skips_errors():
     """Memoized values are computed once per device; a raising call stores nothing."""
     from asdkit.devices import Device

@@ -1,6 +1,9 @@
 """Property tests for the values each device memoizes: meet, minimization,
 perfectness index, pair counts and polynomial signature; the index is also
-checked against an exhaustive oracle and the product rule."""
+checked against an exhaustive oracle and the product rule, and the meet, the
+depth-2 signature and the minimized reads against the lattice operations."""
+
+import functools
 
 from hypothesis import given, settings, strategies as st
 
@@ -67,3 +70,26 @@ def test_perfectness_index_of_a_product_is_the_larger_index(a, b):
     am, bm = minimize(a).device, minimize(b).device
     ab = direct_product(am, bm)
     assert perfectness_index(ab) == max(perfectness_index(am), perfectness_index(bm))
+
+
+@SETTINGS
+@given(devices())
+def test_depth_two_signature_matches_the_lattice_operations(dev):
+    expected = tuple(sorted((a.num_blocks, a.meet(b).num_blocks, a.join(b).num_blocks)
+                            for a in dev.partitions for b in dev.partitions))
+    assert poly_signature(dev) == expected
+
+
+@SETTINGS
+@given(devices())
+def test_meet_of_all_matches_a_fold_over_every_read(dev):
+    assert dev.meet_of_all() == functools.reduce(Partition.meet, dev.partitions)
+
+
+@SETTINGS
+@given(devices())
+def test_minimized_reads_are_canonical(dev):
+    m = minimize(dev).device
+    for p in m.partitions:
+        c = Partition.from_raw(m.states, p.labels)
+        assert (c.labels, c.num_blocks) == (p.labels, p.num_blocks)
