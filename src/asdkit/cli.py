@@ -15,7 +15,7 @@ import sys
 from . import config
 from .devices import Device, direct_product, k_reads, make_linear, make_perfect, make_projective
 from .errors import AsdError
-from .factorization import factor_binary, factor_perfect
+from .factorization import MAX_CERTIFIED_STATES, factor_binary, factor_perfect
 from .graphs import Graph, clique_via_reduction, gi_via_equivalence, graph_device
 from .invariants import invariant_report, poly_signature, prescreen
 from .minimization import minimize
@@ -177,7 +177,8 @@ def _cmd_factor(args) -> int:
 
 def _cmd_factor_perfect(args) -> int:
     factors = factor_perfect(args.m)
-    _emit({"m": args.m, "factors": [list(f) for f in factors], "certified": args.m <= 64}, None)
+    _emit({"m": args.m, "factors": [list(f) for f in factors],
+           "certified": args.m <= MAX_CERTIFIED_STATES}, None)
     return 0
 
 

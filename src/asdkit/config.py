@@ -1,9 +1,9 @@
 """Size caps and budgets.
 
-Most entries are defaults for keyword arguments, which callers may raise
-explicitly.  MAX_DEVICE_PARTITIONS, MAX_SIGNATURE_DEPTH, MAX_FACTOR_STATES and
-MAX_BRUTE_VERTICES are read directly and are hard limits.  Values are sized so
-that the full test suite runs in seconds.
+SEARCH_NODE_BUDGET is the default of every ``budget`` keyword, which callers
+may raise.  Every other entry is a hard limit, read where it applies each
+time it is checked.  Values are sized so that the full test suite runs in
+seconds.
 """
 
 # make_projective: number of binary cells

@@ -120,6 +120,9 @@ class Device:
             raise EmptyStateSpace("device must declare at least one state")
         if not isinstance(partitions, list):
             raise ValueError("partitions must be a list of block lists")
+        if not all(isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)
+                   for blocks in partitions):
+            raise ValueError("each partition must be a list of block lists")
         ground = GroundSet(str(s) for s in states)
         parts = [Partition.from_blocks(ground, [[str(x) for x in b] for b in blocks])
                  for blocks in partitions]
@@ -163,12 +166,12 @@ def make_perfect(m: int) -> Device:
     return Device(ground, [Partition.identity(ground)], name=f"C{m}")
 
 
-def make_projective(n: int, *, cap: int = config.MAX_PROJECTIVE_DIMENSION) -> Device:
+def make_projective(n: int) -> Device:
     """States are n-bit words; one partition per cell, reading that cell."""
     if n < 1:
         raise EmptyStateSpace("need at least one cell")
-    if n > cap:
-        raise LimitExceeded(f"n={n} exceeds cap {cap}")
+    if n > config.MAX_PROJECTIVE_DIMENSION:
+        raise LimitExceeded(f"n={n} exceeds cap {config.MAX_PROJECTIVE_DIMENSION}")
     ground = GroundSet(format(i, f"0{n}b") for i in range(2 ** n))
     parts = [Partition.from_raw(ground, (s[c] for s in ground.elements)) for c in range(n)]
     return Device(ground, parts, name=f"P{n}")
@@ -197,7 +200,7 @@ def gaussian_binomial(n: int, k: int) -> int:
     return num // den
 
 
-def make_linear(n: int, k: int = 1, *, cap: int = config.MAX_LINEAR_DIMENSION) -> Device:
+def make_linear(n: int, k: int = 1) -> Device:
     """States are n-bit words; partitions are kernels of surjective linear maps to k bits.
 
     Two maps share a kernel iff they have the same row space, so the family is
@@ -205,8 +208,8 @@ def make_linear(n: int, k: int = 1, *, cap: int = config.MAX_LINEAR_DIMENSION) -
     """
     if n < 1 or k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if n > cap:
-        raise LimitExceeded(f"n={n} exceeds cap {cap}")
+    if n > config.MAX_LINEAR_DIMENSION:
+        raise LimitExceeded(f"n={n} exceeds cap {config.MAX_LINEAR_DIMENSION}")
     count = gaussian_binomial(n, k)
     if count > config.MAX_DEVICE_PARTITIONS:
         raise LimitExceeded(f"{count} partitions exceed cap {config.MAX_DEVICE_PARTITIONS}")
@@ -223,11 +226,11 @@ def make_linear(n: int, k: int = 1, *, cap: int = config.MAX_LINEAR_DIMENSION) -
 # combinators
 
 
-def direct_product(a: Device, b: Device, *, max_states: int = config.MAX_PRODUCT_STATES) -> Device:
+def direct_product(a: Device, b: Device) -> Device:
     """Product device: paired states, one partition per pair of reads."""
     n = a.num_states * b.num_states
-    if n > max_states:
-        raise LimitExceeded(f"product would have {n} states (cap {max_states})")
+    if n > config.MAX_PRODUCT_STATES:
+        raise LimitExceeded(f"product would have {n} states (cap {config.MAX_PRODUCT_STATES})")
     if a.num_partitions * b.num_partitions > config.MAX_DEVICE_PARTITIONS:
         raise LimitExceeded("product partition family exceeds cap")
     ground = product_ground(a.states, b.states)
@@ -235,14 +238,14 @@ def direct_product(a: Device, b: Device, *, max_states: int = config.MAX_PRODUCT
     return Device(ground, parts)
 
 
-def product_of(devices: Iterable[Device], **kw) -> Device:
+def product_of(devices: Iterable[Device]) -> Device:
     devs = list(devices)
     if not devs:
         raise EmptyStateSpace("empty product")
-    return functools.reduce(lambda x, y: direct_product(x, y, **kw), devs)
+    return functools.reduce(direct_product, devs)
 
 
-def k_reads(dev: Device, k: int, *, cap: int = config.MAX_KREAD_PARTITIONS) -> Device:
+def k_reads(dev: Device, k: int) -> Device:
     """Close the family under meets of up to k partitions.
 
     Meets are idempotent and associative, so closing level by level over
@@ -263,7 +266,7 @@ def k_reads(dev: Device, k: int, *, cap: int = config.MAX_KREAD_PARTITIONS) -> D
                 if mp not in seen:
                     seen[mp] = None
                     fresh.append(mp)
-        if len(seen) > cap:
-            raise LimitExceeded(f"k-read closure exceeds {cap} partitions")
+        if len(seen) > config.MAX_KREAD_PARTITIONS:
+            raise LimitExceeded(f"k-read closure exceeds {config.MAX_KREAD_PARTITIONS} partitions")
         frontier = fresh
     return Device(dev.states, seen)

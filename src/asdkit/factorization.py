@@ -1,8 +1,9 @@
 """Direct-product structure of devices built from binary parts.
 
 binary_product_reduce decides reducibility between two products of
-non-perfect state-minimal binary devices by searching over index partitions,
-so one product-sized question collapses to a handful of factor-sized ones.
+non-perfect state-minimal binary devices by searching over maps from right
+factors to left factors, so one product-sized question collapses to a
+handful of factor-sized ones.
 extract_index_partition recovers the same grouping from an explicit witness
 by watching which left coordinate moves as a right coordinate varies.
 factor_binary finds the binary factors of a device when they exist, with an
@@ -35,6 +36,10 @@ from .witnesses import Reduction, verify_reduction
 # 1-based positions of the Es that together simulate D_i.
 IndexPartition = tuple[frozenset[int], ...]
 
+# largest state count at which factor_binary runs and factor_perfect
+# certifies its answer with decide_equivalence
+MAX_CERTIFIED_STATES = 64
+
 
 def _check_factors(ds, es) -> tuple[list[Device], list[Device], list[int], list[int]]:
     """Both factor lists and their state counts, once every hypothesis holds:
@@ -59,24 +64,9 @@ def _check_factors(ds, es) -> tuple[list[Device], list[Device], list[int], list[
     return ds, es, sd, se
 
 
-def _rgs_strings(n: int, m: int):
-    """Restricted growth strings of length n using exactly m values, in
-    lexicographic order."""
-    a = [0] * n
-
-    def rec(i: int, mx: int):
-        if i == n:
-            if mx + 1 == m:
-                yield tuple(a)
-            return
-        for v in range(min(mx + 1, m - 1) + 1):
-            # remaining positions must still be able to introduce m values
-            if max(mx, v) + 1 + (n - i - 1) >= m:
-                a[i] = v
-                yield from rec(i + 1, max(mx, v))
-
-    if 1 <= m <= n:
-        yield from rec(0, -1)
+def _index_partition(tau: list[int], m: int) -> IndexPartition:
+    """The groups of a map tau from right indices to left indices, 1-based."""
+    return tuple(frozenset(j + 1 for j, t in enumerate(tau) if t == i) for i in range(m))
 
 
 def binary_product_reduce(
@@ -86,20 +76,18 @@ def binary_product_reduce(
     listed device is binary, non-perfect and state-minimal and the state-count
     products agree.
 
-    The reduction exists iff the right indices split into groups J_1..J_m
-    with D_i <= ×_{j in J_i} E_j for each i.  Set partitions of the indices
-    are enumerated as restricted growth strings in lexicographic order, each
-    matched against the left factors in every order (identity matching
-    first); a grouping survives only if the group state counts multiply to
-    the matching left factor's count, which is the sigma-additivity prune in
-    exact integer form.  Surviving groups are settled by the generic solver
-    and every sub-witness is re-verified.  The first valid grouping is
-    returned; None means no grouping works, hence no reduction at all.
+    The reduction exists iff some map tau from right indices to left indices
+    has D_i <= ×_{j : tau(j) = i} E_j for each i.  tau is built depth first,
+    right factor j going to left factor 1 first; a branch is dropped once a
+    group's state count stops dividing its left factor's, which is the
+    sigma-additivity prune in exact integer form, and a complete tau needs
+    every group to match its left factor's count, so no group is empty.
+    Groups are settled by the generic solver and every sub-witness is
+    re-verified.  Returns the lexicographically least valid tau as an index
+    partition; None means no tau works, hence no reduction at all.
     """
     ds, es, sd, se = _check_factors(ds, es)
     m, n = len(ds), len(es)
-    if m > n:
-        return None
 
     prods: dict[tuple[int, ...], Device] = {}
     settled: dict[tuple[int, tuple[int, ...]], bool] = {}
@@ -115,20 +103,29 @@ def binary_product_reduce(
             settled[key] = red is not None
         return settled[key]
 
-    for rgs in _rgs_strings(n, m):
-        blocks = [tuple(j for j in range(n) if rgs[j] == v) for v in range(m)]
-        for perm in itertools.permutations(range(m)):
-            groups = [()] * m
-            for b, grp in enumerate(blocks):
-                groups[perm[b]] = grp
-            if any(
-                math.prod(se[j] for j in grp) != sd[i]
-                for i, grp in enumerate(groups)
-            ):
-                continue
-            if all(part_ok(i, grp) for i, grp in enumerate(groups)):
-                return tuple(frozenset(j + 1 for j in grp) for grp in groups)
-    return None
+    tau: list[int] = []
+    groups: list[list[int]] = [[] for _ in range(m)]
+    load = [1] * m  # state count of each group so far
+
+    def walk(j: int) -> IndexPartition | None:
+        if j == n:
+            if load == sd and all(part_ok(i, tuple(g)) for i, g in enumerate(groups)):
+                return _index_partition(tau, m)
+            return None
+        for i in range(m):
+            if sd[i] % (load[i] * se[j]) == 0:
+                load[i] *= se[j]
+                groups[i].append(j)
+                tau.append(i)
+                found = walk(j + 1)
+                if found is not None:
+                    return found
+                load[i] //= se[j]
+                groups[i].pop()
+                tau.pop()
+        return None
+
+    return walk(0)
 
 
 def _mixed_radix(sizes: list[int]) -> list[int]:
@@ -165,20 +162,13 @@ def extract_index_partition(red: Reduction, ds, es) -> IndexPartition:
 
     def tau_at(j: int, ctx: list[int]) -> int:
         base = sum(ctx[k] * we[k] for k in range(n) if k != j)
-        moved = set()
-        seen = []
-        for v in range(se[j]):
-            x = inv[base + v * we[j]]
-            coords = tuple((x // wd[i]) % sd[i] for i in range(m))
-            seen.append(coords)
-        for i in range(m):
-            if len({c[i] for c in seen}) > 1:
-                moved.add(i)
+        seen = [inv[base + v * we[j]] for v in range(se[j])]
+        moved = [i for i in range(m) if len({(x // wd[i]) % sd[i] for x in seen}) > 1]
         if len(moved) != 1:
             raise NonUniqueTau(
                 f"varying right coordinate {j + 1} moves {len(moved)} left coordinates"
             )
-        return moved.pop()
+        return moved[0]
 
     rng = random.Random(0x5EED)
     tau = []
@@ -188,9 +178,7 @@ def extract_index_partition(red: Reduction, ds, es) -> IndexPartition:
         if t0 != tau_at(j, ctx):
             raise NonUniqueTau(f"tau({j + 1}) depends on the fixed context")
         tau.append(t0)
-    out = tuple(
-        frozenset(j + 1 for j in range(n) if tau[j] == i) for i in range(m)
-    )
+    out = _index_partition(tau, m)
     if any(not grp for grp in out):
         raise NonUniqueTau("some left factor is fed by no right coordinate")
     return out
@@ -265,8 +253,9 @@ def _extract_candidate_factors(dm: Device) -> list[Device] | None:
     In a product of non-perfect binaries the join of two reads is a 2-block
     partition exactly when they agree in one coordinate, and that join is the
     lift of the shared factor read.  Collecting all such joins therefore
-    recovers every lifted read; two lifts belong to the same factor iff no
-    single read refines both.  Each group's meet is the kernel of the
+    recovers every lifted read.  The first read refines exactly one lift per
+    factor, its anchor, and a lift belongs to the one anchor that no read
+    refines together with it.  Each group's meet is the kernel of the
     projection onto that factor, and quotienting by it rebuilds the factor.
     The proposal is only a candidate: the caller certifies equivalence.
     """
@@ -292,35 +281,27 @@ def _extract_candidate_factors(dm: Device) -> list[Device] | None:
             refined = [
                 [r.refines(theta) for theta in lift_list] for r in reads
             ]
-            parent = list(range(len(lift_list)))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a, b in itertools.combinations(range(len(lift_list)), 2):
-                if not any(row[a] and row[b] for row in refined):
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-            groups: dict[int, list[Partition]] = {}
-            for idx in range(len(lift_list)):
-                groups.setdefault(find(idx), []).append(lift_list[idx])
-            for root in sorted(groups):
-                mu = functools.reduce(Partition.meet, groups[root])
+            # reads[0] refines one lift per factor; any other lift shares a
+            # refining read with every anchor but its own factor's
+            anchors = [a for a, hit in enumerate(refined[0]) if hit]
+            groups: dict[int, list[Partition]] = {a: [] for a in anchors}
+            for idx, theta in enumerate(lift_list):
+                own = [idx] if refined[0][idx] else [
+                    a for a in anchors if not any(row[a] and row[idx] for row in refined)
+                ]
+                if len(own) != 1:
+                    return None
+                groups[own[0]].append(theta)
+            for members in groups.values():
+                mu = functools.reduce(Partition.meet, members)
                 k = mu.num_blocks
-                rep = [0] * k
-                seen = set()
+                rep: dict[int, int] = {}  # block -> its first state
                 for x, lab in enumerate(mu.labels):
-                    if lab not in seen:
-                        seen.add(lab)
-                        rep[lab] = x
+                    rep.setdefault(lab, x)
                 fg = GroundSet(f"b{t}" for t in range(k))
                 fparts = [
                     Partition.from_raw(fg, (theta.labels[rep[t]] for t in range(k)))
-                    for theta in groups[root]
+                    for theta in members
                 ]
                 factors.append(Device(fg, fparts))
             factors.sort(key=_device_key)
@@ -402,8 +383,8 @@ def factor_binary(
     """
     dm = minimize(dev).device
     n = dm.num_states
-    if n > 64:
-        raise LimitExceeded(f"minimized device has {n} states (cap 64)")
+    if n > MAX_CERTIFIED_STATES:
+        raise LimitExceeded(f"minimized device has {n} states (cap {MAX_CERTIFIED_STATES})")
     if n == 1:
         return []
     cand = _extract_candidate_factors(dm)
@@ -419,7 +400,7 @@ def factor_perfect(m: int) -> list[tuple[int, int]]:
     """Prime factorization of a perfect device's state count.
 
     Returns (prime, multiplicity) pairs in increasing prime order; for
-    m <= 64 the claim C_m == ×C_p^a is certified by decide_equivalence.
+    m <= MAX_CERTIFIED_STATES the claim C_m == ×C_p^a is certified by decide_equivalence.
     """
     if m < 2:
         raise PreconditionMismatch("m must be at least 2")
@@ -436,7 +417,7 @@ def factor_perfect(m: int) -> list[tuple[int, int]]:
         d += 1
     if rest > 1:
         out.append((rest, 1))
-    if m <= 64:
+    if m <= MAX_CERTIFIED_STATES:
         parts = [make_perfect(p) for p, a in out for _ in range(a)]
         if decide_equivalence(make_perfect(m), product_of(parts)) is None:
             raise RuntimeError("perfect factorization failed certification")

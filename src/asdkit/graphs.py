@@ -67,7 +67,7 @@ class Graph:
             raise GraphError("'edges' must be a list of pairs")
         seen = set()
         for e in edges:
-            if not isinstance(e, list) or len(e) != 2:
+            if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
                 raise GraphError(f"malformed edge {e!r}")
             key = (min(e), max(e))
             if key in seen:

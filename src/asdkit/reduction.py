@@ -359,10 +359,11 @@ def _structural_refute(src: Device, dst: Device, budget: int) -> bool:
     question without touching the state-level search space.  Never claims a
     reduction exists, so a False just falls through to the generic search.
     """
+    from .factorization import MAX_CERTIFIED_STATES, binary_product_reduce, factor_binary
+
     ns = src.meet_of_all().num_blocks
-    if ns != dst.meet_of_all().num_blocks or not 9 <= ns <= 64:
+    if ns != dst.meet_of_all().num_blocks or not 9 <= ns <= MAX_CERTIFIED_STATES:
         return False
-    from .factorization import binary_product_reduce, factor_binary
 
     try:
         fs = factor_binary(src, budget=budget)

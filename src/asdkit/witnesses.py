@@ -82,6 +82,8 @@ def reduction_from_dict(src: Device, dst: Device, raw: dict) -> Reduction:
     for s in src.states.elements:
         if s not in phi_map:
             raise DomainMismatch(f"phi is not total: missing state {s!r}")
+        if not isinstance(phi_map[s], str):
+            raise DomainMismatch(f"phi sends {s!r} to {phi_map[s]!r}, not a state label")
         phi.append(dst.states.index_of(phi_map[s]))
     extra = set(phi_map) - set(src.states.elements)
     if extra:

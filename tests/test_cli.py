@@ -1,11 +1,15 @@
 """End-to-end command tests: exit codes, golden output, witness round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from asdkit import cli, minimization
-from asdkit.devices import direct_product, make_linear
+from asdkit.devices import Device, direct_product, make_linear
 from asdkit.graphs import graph_device, make_graph
 
 from corpus import with_coarsened_reads
@@ -238,6 +242,57 @@ def test_errors_exit_two(files, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["not-a-command"])
     assert info.value.code == 2
+
+
+TWO_STATES = {"states": ["a", "b"], "partitions": [[["a"], ["b"]]]}
+EDGE = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+# (command, the documents passed to it in order)
+MALFORMED = {
+    "partition-not-a-list": ("reduce", [{"states": ["a", "b"], "partitions": [5]}, TWO_STATES]),
+    "block-is-a-string": ("show", [{"states": ["a", "b"], "partitions": [["ab"]]}]),
+    "mixed-block-kinds": ("show", [{"states": ["a", "b"], "partitions": [[["a"], "b"]]}]),
+    "edge-endpoint-not-a-string": ("gi", [{"vertices": ["a", "b"], "edges": [[1, "a"]]}, EDGE]),
+    "phi-target-not-a-string": ("verify", [TWO_STATES, TWO_STATES,
+                                           {"phi": {"a": ["a"], "b": "b"}, "alpha": [0]}]),
+}
+
+
+def _write_documents(root, docs):
+    paths = []
+    for k, doc in enumerate(docs):
+        path = root / f"doc{k}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_two(case, tmp_path, capsys):
+    command, docs = MALFORMED[case]
+    assert cli.main([command, *_write_documents(tmp_path, docs)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "asdkit", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    gen = run("gen", "lnk", "2")
+    assert gen.returncode == 0
+    dev = Device.from_dict(json.loads(gen.stdout))
+    assert (dev.num_states, dev.num_partitions) == (4, 3)
+    command, docs = MALFORMED["block-is-a-string"]
+    bad = run(command, *_write_documents(tmp_path, docs))
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr
 
 
 def test_output_flag_matches_stdout(files, capsys, tmp_path):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from asdkit import config
 from asdkit.devices import (
     Device,
     classify,
@@ -119,6 +120,28 @@ def test_direct_product():
     assert big.states.elements[0] == "(00,00)"
     with pytest.raises(LimitExceeded):
         direct_product(make_perfect(100), make_perfect(100))
+
+
+def test_size_caps():
+    with pytest.raises(LimitExceeded, match="n=9"):
+        make_linear(9)
+    # F_2^8 has 200,787 four-dimensional subspaces
+    with pytest.raises(LimitExceeded, match="200787 partitions"):
+        make_linear(8, 4)
+    # 4,096 states is within the state cap; 651 x 651 reads is not
+    l62 = make_linear(6, 2)
+    with pytest.raises(LimitExceeded, match="partition family"):
+        direct_product(l62, l62)
+    with pytest.raises(EmptyStateSpace):
+        product_of([])
+
+
+def test_k_reads_cap_is_read_at_call_time(monkeypatch):
+    l3 = make_linear(3)
+    assert k_reads(l3, 2).num_partitions == 14
+    monkeypatch.setattr(config, "MAX_KREAD_PARTITIONS", 13)
+    with pytest.raises(LimitExceeded, match="exceeds 13 partitions"):
+        k_reads(l3, 2)
 
 
 def test_product_perfect_iff_both_perfect():

@@ -14,7 +14,7 @@ from asdkit.devices import (
     make_projective,
     product_of,
 )
-from asdkit.errors import HypothesisViolation, NonUniqueTau, PreconditionMismatch
+from asdkit.errors import HypothesisViolation, LimitExceeded, NonUniqueTau, PreconditionMismatch
 from asdkit.factorization import (
     binary_product_reduce,
     extract_index_partition,
@@ -22,8 +22,8 @@ from asdkit.factorization import (
     factor_perfect,
 )
 from asdkit.minimization import minimize
-from asdkit.partitions import GroundSet, Partition
-from asdkit.reduction import decide_equivalence, find_reduction
+from asdkit.partitions import GroundSet, Partition, product_ground
+from asdkit.reduction import decide_equivalence, find_reduction, random_equivalent
 from asdkit.witnesses import Reduction, identity_reduction
 
 from corpus import random_binary_device
@@ -69,6 +69,76 @@ def test_factor_lists_are_checked_before_any_search():
 def test_binary_product_reduce_more_blocks_than_factors():
     # m > n leaves no grouping at all
     assert binary_product_reduce([L2, L2, L2], [make_linear(6)]) is None
+
+
+# the criterion-10 shapes: factor sizes per total state count
+SHAPES = [(3,), (4,), (3, 3), (3, 4), (4, 3), (4, 4), (3, 3, 3), (3, 3, 4), (3, 4, 3),
+          (4, 3, 3), (3, 4, 4), (4, 3, 4), (4, 4, 3), (4, 4, 4)]
+
+
+def _least_tau_oracle(ds, es):
+    """Index partition of the first map tau, in lexicographic order, whose
+    every group passes the generic solver."""
+    m, n = len(ds), len(es)
+    verdicts = {}
+
+    def ok(i, grp):
+        if (i, grp) not in verdicts:
+            sub = product_of(es[j] for j in grp)
+            verdicts[i, grp] = find_reduction(ds[i], sub, structural=False) is not None
+        return verdicts[i, grp]
+
+    for tau in itertools.product(range(m), repeat=n):
+        groups = [tuple(j for j in range(n) if tau[j] == i) for i in range(m)]
+        if all(groups) and all(ok(i, grp) for i, grp in enumerate(groups)):
+            return tuple(frozenset(j + 1 for j in grp) for grp in groups)
+    return None
+
+
+def _lifted_sum(a, b):
+    """Binary device on the states of a x b whose reads are the lifts of the
+    reads of a and of b; it reduces to a x b."""
+    ground = product_ground(a.states, b.states)
+    top_a, top_b = Partition.top(a.states), Partition.top(b.states)
+    return Device(ground, [p.product(top_b, ground) for p in a.partitions]
+                  + [top_a.product(q, ground) for q in b.partitions])
+
+
+def _relabel(dev, rng):
+    return random_equivalent(minimize(dev).device, rng.getrandbits(32))[0]
+
+
+def test_binary_product_reduce_returns_least_tau():
+    rng = random.Random(0x7A0)
+    cases = []
+    for shape in SHAPES:
+        ds = [random_binary_device(rng, s) for s in shape]
+        es = [random_binary_device(rng, s) for s in rng.sample(shape, len(shape))]
+        cases.append((ds, es))
+        # a shuffled relabelling of the left factors always reduces
+        cases.append((ds, [_relabel(d, rng) for d in rng.sample(ds, len(ds))]))
+    for s in (3, 4):
+        # two equal-size, equivalent left factors: both matchings are valid
+        d = random_binary_device(rng, s)
+        cases.append(([d, _relabel(d, rng)], [_relabel(d, rng), d]))
+        # fewer left factors than right ones, with two equal-size lifted sums
+        a, b = random_binary_device(rng, 3), random_binary_device(rng, 3)
+        es = [a, _relabel(b, rng), _relabel(a, rng), b]
+        cases.append(([_lifted_sum(a, b), _lifted_sum(b, a)], es))
+        cases.append(([_lifted_sum(a, b), random_binary_device(rng, 9)], es))
+    # exactly two maps are valid, (1, 2, 2, 1) and (2, 1, 2, 1): the least
+    # one sends the first right factor to the first left factor
+    g = GroundSet("xyz")
+    cuts = [Partition.from_blocks(g, [[x], [y for y in "xyz" if y != x]]) for x in "xyz"]
+    three, two = Device(g, cuts), Device(g, cuts[:2])
+    es = [three, _relabel(three, rng), two, L2]
+    cases.append(([_lifted_sum(three, L2), _lifted_sum(two, three)], es))
+    results = [binary_product_reduce(ds, es) for ds, es in cases]
+    for (ds, es), got in zip(cases, results):
+        assert got == _least_tau_oracle(ds, es), (ds, es)
+    assert None in results
+    assert any(len(ds) < len(es) and got for (ds, es), got in zip(cases, results))
+    assert results[-1] == (frozenset({1, 4}), frozenset({2, 3}))
 
 
 def test_extract_index_partition_identity():
@@ -120,6 +190,11 @@ def test_factor_binary_splits_off_perfect_part():
 
 def test_factor_binary_of_one_state_device_is_empty():
     assert factor_binary(make_perfect(1)) == []
+
+
+def test_factor_binary_refuses_more_than_64_minimized_states():
+    with pytest.raises(LimitExceeded, match="128 states"):
+        factor_binary(product_of([L3, L4]))
 
 
 def test_factor_binary_negatives():
