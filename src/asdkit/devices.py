@@ -114,8 +114,8 @@ class Device:
         name = raw.get("name")
         if name is not None and not isinstance(name, str):
             raise ValueError("device name must be a string or null")
-        if not isinstance(states, list):
-            raise ValueError("states must be a list of labels")
+        if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+            raise ValueError("states must be a list of strings")
         if not states:
             raise EmptyStateSpace("device must declare at least one state")
         if not isinstance(partitions, list):
@@ -123,9 +123,10 @@ class Device:
         if not all(isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)
                    for blocks in partitions):
             raise ValueError("each partition must be a list of block lists")
-        ground = GroundSet(str(s) for s in states)
-        parts = [Partition.from_blocks(ground, [[str(x) for x in b] for b in blocks])
-                 for blocks in partitions]
+        if not all(isinstance(x, str) for blocks in partitions for b in blocks for x in b):
+            raise ValueError("block labels must be strings")
+        ground = GroundSet(states)
+        parts = [Partition.from_blocks(ground, blocks) for blocks in partitions]
         return cls(ground, parts, name)
 
 

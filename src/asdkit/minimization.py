@@ -49,20 +49,30 @@ def _redundant_indices(parts: tuple[Partition, ...]) -> set[int]:
     return out
 
 
+def state_quotient(dev: Device) -> tuple[Device, Partition]:
+    """(quotient, meet of all reads): every read restricted to each meet class's least state.
+
+    A twin repeats its least twin's labels, so the restricted reads stay
+    distinct and in order.  A state-minimal device is its own quotient.
+    """
+    meet = dev.meet_of_all()
+    if meet.is_identity:
+        return dev, meet
+    # a block's first state is its class's least state, so labels stay first-occurrence dense
+    reps = [block[0] for block in meet.blocks]
+    ground = GroundSet(dev.states.elements[i] for i in reps)
+    return Device(ground, [Partition(ground, tuple([p.labels[i] for i in reps]), p.num_blocks)
+                           for p in dev.partitions]), meet
+
+
 @once_per_device
 def minimize(dev: Device) -> MinimizationResult:
     """Merge indistinguishable states, drop redundant reads, return witnesses."""
-    meet = dev.meet_of_all()
-    reps = [block[0] for block in meet.blocks]  # least state index per merged class
-    ground = GroundSet(dev.states.elements[i] for i in reps)
-
-    # each read restricted to the ascending reps: a block's first state is its meet class's
-    # least state, so a rep, and the restricted labels stay first-occurrence dense
-    reduced = [Partition(ground, tuple([p.labels[i] for i in reps]), p.num_blocks)
-               for p in dev.partitions]
-
-    drop = _redundant_indices(tuple(reduced))
-    mindev = Device(ground, [r for i, r in enumerate(reduced) if i not in drop])
+    quot, meet = state_quotient(dev)
+    reduced = quot.partitions
+    drop = _redundant_indices(reduced)
+    kept = [i for i in range(len(reduced)) if i not in drop]
+    mindev = Device(quot.states, [reduced[i] for i in kept])
 
     # kept reads form an antichain, refined only by their own slot; dropped reads need a scan
     slot = {q.labels: k for k, q in enumerate(mindev.partitions)}
@@ -70,11 +80,7 @@ def minimize(dev: Device) -> MinimizationResult:
                      next(k for k, q in enumerate(mindev.partitions) if q.refines(r))
                      for i, r in enumerate(reduced))
     to_min = Reduction(tuple(meet.labels), to_alpha)
-
-    first: dict[tuple, int] = {}
-    for i, r in enumerate(reduced):
-        first.setdefault(r.labels, i)
-    from_min = Reduction(tuple(reps), tuple(first[q.labels] for q in mindev.partitions))
+    from_min = Reduction(tuple(block[0] for block in meet.blocks), tuple(kept))
 
     if not verify_reduction(dev, mindev, to_min) or not verify_reduction(mindev, dev, from_min):
         raise RuntimeError("internal: minimization witness failed verification")

@@ -24,7 +24,7 @@ from . import config
 from .devices import Device
 from .errors import AsdError, PreconditionMismatch, SearchBudgetExceeded
 from .invariants import _pair_counts, prescreen
-from .minimization import is_partition_minimal, is_state_minimal, minimize
+from .minimization import is_partition_minimal, is_state_minimal, minimize, state_quotient
 from .partitions import GroundSet, Partition
 from .witnesses import Reduction, compose, verify_reduction
 
@@ -62,13 +62,13 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _backtrack(nd: int, ne: int, root, extend, budget: int, injective: bool, allowed=None):
-    """Depth-first search over phi; returns (phi, leaf frame) or None.
+def _backtrack(nd: int, ne: int, root, extend, budget: int, allowed=None):
+    """Depth-first search over injective phi; returns (phi, leaf frame) or None.
 
-    Every target tried counts as a node, including those blocked because
-    injective is set and they are used, or because they are missing from the
-    bitmask allowed[x].  extend(frame, x, t) is called once phi(y) is fixed for
-    every y < x; it returns the child frame for phi(x) = t, or None.
+    Every target tried counts as a node, including those blocked because they
+    are used or missing from the bitmask allowed[x].  extend(frame, x, t) is
+    called once phi(y) is fixed for every y < x; it returns the child frame
+    for phi(x) = t, or None.
     """
     phi = [-1] * nd
     used = 0
@@ -81,7 +81,7 @@ def _backtrack(nd: int, ne: int, root, extend, budget: int, injective: bool, all
         if depth == nd:
             return tuple(phi), frames[-1]
         x = depth
-        blocked = used if injective else 0
+        blocked = used
         if allowed is not None:
             blocked |= ~allowed[x]
         t = resume[depth]
@@ -153,14 +153,13 @@ def _mask_step(src: Device, dst: Device, exact: bool):
     return extend
 
 
-def _search_reduction_bitmask(src: Device, dst: Device, budget: int, injective: bool) -> Reduction | None:
-    """Plain pairwise-consistency backtracking; fallback for oversized instances."""
+def _search_reduction_bitmask(src: Device, dst: Device, budget: int) -> Reduction | None:
+    """Pairwise-consistency backtracking from a state-minimal src; fallback for oversized inputs."""
     init = _read_masks([pi.num_blocks for pi in src.partitions],
                        [rho.num_blocks for rho in dst.partitions], operator.le)
     if init is None:
         return None
-    hit = _backtrack(src.num_states, dst.num_states, init, _mask_step(src, dst, False),
-                     budget, injective)
+    hit = _backtrack(src.num_states, dst.num_states, init, _mask_step(src, dst, False), budget)
     if hit is None:
         return None
     phi, final = hit
@@ -173,8 +172,6 @@ def _search_reduction_bitmask(src: Device, dst: Device, budget: int, injective: 
 @functools.lru_cache(maxsize=65536)
 def _sizes_regroup(a_sizes: tuple[int, ...], b_sizes: tuple[int, ...]) -> bool:
     """Can b_sizes be grouped so the group sums are exactly a_sizes?"""
-    if sum(a_sizes) != sum(b_sizes):
-        return False
     targets = sorted(a_sizes, reverse=True)
     items = sorted(b_sizes, reverse=True)
     nb = len(items)
@@ -225,14 +222,16 @@ def _ac_narrow(alive: np.ndarray, allowf: np.ndarray) -> np.ndarray | None:
         alive = new
 
 
-def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) -> Reduction | None:
+def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None:
     """Backtracking over phi with consistency, capacity and pair propagation.
 
-    Candidates are a boolean (reads of src) x (reads of dst) matrix narrowed
-    after every assignment.  Each surviving pair of reads records, per target
-    block, the source block owning the images in it.  Consistency: phi(x) = t
-    keeps a pair only if t's block is unowned or owned by x's block.
-    Capacity (only when phi is forced injective, i.e. src is state-minimal):
+    src must be state-minimal, so phi is injective, and pass the prescreen:
+    the sigma screen gives it at most dst's state count, and the capacity
+    screen each source read a target read with as many blocks.  Candidates
+    are a boolean (reads of src) x (reads of dst) matrix narrowed after every
+    assignment.  Each surviving pair of reads records, per target block, the
+    source block owning the images in it.  Consistency: phi(x) = t keeps a
+    pair only if t's block is unowned or owned by x's block.  Capacity:
     source block b needs |b| distinct target states inside blocks it owns or
     unowned ones, so with cap_b the size of b's blocks, the sum over b of
     max(|b|, cap_b) must not exceed the target's state count.  Pair
@@ -247,8 +246,6 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
     least.
     """
     nd, ne = src.num_states, dst.num_states
-    if injective and nd > ne:
-        return None
     pd, pe = src.partitions, dst.partitions
     p, q = len(pd), len(pe)
     nb_d = [pi.num_blocks for pi in pd]
@@ -258,15 +255,13 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
     # per-level snapshots make undo free; fall back if they would be huge
     frame_bytes = p * q * (2 * remax + 4 * rdmax + 10)
     if frame_bytes * (nd + 1) > 300 * 2 ** 20:
-        return _search_reduction_bitmask(src, dst, budget, injective)
+        return _search_reduction_bitmask(src, dst, budget)
 
     alive0 = np.array([[be >= bd for be in nb_e] for bd in nb_d])
-    if not alive0.any(axis=1).all():
-        return None
 
     # a bijective pullback keeps the target's block sizes, so the target's
     # size multiset must regroup into the source's
-    if injective and nd == ne and remax <= 12 and p * q <= 10000:
+    if nd == ne and remax <= 12 and p * q <= 10000:
         asz = [tuple(pi.block_sizes()) for pi in pd]
         bsz = [tuple(rho.block_sizes()) for rho in pe]
         for i in range(p):
@@ -283,7 +278,7 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
         dm, dj = _pair_counts(src)
         em, ej = _pair_counts(dst)
         allow = em[None, None, :, :] >= dm[:, :, None, None]
-        if injective and nd == ne:
+        if nd == ne:
             allow &= ej[None, None, :, :] >= dj[:, :, None, None]
         if not allow.all():
             ac = allow.astype(np.float32)
@@ -322,7 +317,7 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
             return None
         newclaim = alive & free
         claims = newclaim.any()  # if not, own, cap and load stay the parent's, which nothing mutates
-        if injective and claims:
+        if claims:
             cap_b = cap[ip, jq, b]
             new_cap_b = cap_b + np.where(newclaim, csz_t[t], 0)
             size_b = dsizes[ip, b]
@@ -335,12 +330,11 @@ def _search_reduction(src: Device, dst: Device, budget: int, injective: bool) ->
         if claims:
             own = own.copy()
             own[ip, jq, c] = np.where(newclaim, b, own_bc)
-            if injective:
-                cap = cap.copy()
-                cap[ip, jq, b] = new_cap_b
+            cap = cap.copy()
+            cap[ip, jq, b] = new_cap_b
         return alive, own, cap, load
 
-    hit = _backtrack(nd, ne, (alive0, own0, cap0, load0), extend, budget, injective)
+    hit = _backtrack(nd, ne, (alive0, own0, cap0, load0), extend, budget)
     if hit is None:
         return None
     phi, final = hit
@@ -391,15 +385,18 @@ def find_reduction(
     factorizations can refute through the index-partition criterion; both
     steps refute only, so any witness still comes from the generic search
     and stays lexicographically least.  Pass structural=False to force the
-    generic decision, e.g. when the search itself is under test.  phi is
-    forced injective whenever src is state-minimal (any valid phi is then
-    injective, so nothing is lost).
+    generic decision, e.g. when the search itself is under test.  The search
+    runs on src's state quotient and sends each state to its class's image:
+    twins lie in the same block of every read, so in the least witness a twin
+    takes its least twin's image, and the quotient keeps the reads in order.
     """
     if prescreen(src, dst) is not None:
         return None
     if structural and _structural_refute(src, dst, budget):
         return None
-    return _search_reduction(src, dst, budget, is_state_minimal(src))
+    quot, meet = state_quotient(src)
+    red = _search_reduction(quot, dst, budget)
+    return None if red is None else Reduction(tuple(red.phi[c] for c in meet.labels), red.alpha)
 
 
 # ----------------------------------------------------------------------
@@ -414,8 +411,6 @@ def _search_bijection(src: Device, dst: Device, budget: int):
     """
     nd = src.num_states
     ne = dst.num_states
-    if nd != ne or src.num_partitions != dst.num_partitions:
-        return None
     pd, pe = src.partitions, dst.partitions
 
     # exact match forces a read bijection preserving block-size multisets,
@@ -443,7 +438,7 @@ def _search_bijection(src: Device, dst: Device, budget: int):
     allowed = [with_prof[prof] for prof in prof_src]
 
     init = _read_masks(ms_src, ms_dst, operator.eq)
-    hit = _backtrack(nd, ne, init, _mask_step(src, dst, True), budget, True, allowed)
+    hit = _backtrack(nd, ne, init, _mask_step(src, dst, True), budget, allowed)
     if hit is None:
         return None
     phi, final = hit

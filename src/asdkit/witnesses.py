@@ -89,7 +89,8 @@ def reduction_from_dict(src: Device, dst: Device, raw: dict) -> Reduction:
     if extra:
         raise UnknownLabel(f"phi mentions unknown states {sorted(extra)}")
     alpha_raw = raw["alpha"]
-    if not isinstance(alpha_raw, list) or not all(isinstance(a, int) for a in alpha_raw):
+    # a JSON boolean parses to a bool, which is an int
+    if not isinstance(alpha_raw, list) or not all(type(a) is int for a in alpha_raw):
         raise DomainMismatch("'alpha' must be a list of partition indices")
     red = Reduction(tuple(phi), tuple(alpha_raw))
     _check_shape(src, dst, red)

@@ -119,6 +119,21 @@ def with_coarsened_reads(dev: Device) -> Device:
     return Device(dev.states, dev.partitions + tuple(extra))
 
 
+def with_twins(rng, dev: Device, k: int) -> Device:
+    """dev with k of its states each given a twin, placed at random after its original.
+
+    A twin lies in its original's block of every read, so the device minimizes
+    back to dev's minimum, and every class's least state is an original.
+    """
+    order = list(range(dev.num_states))
+    for x in rng.sample(order, k):
+        order.insert(rng.randint(order.index(x) + 1, len(order)), x)
+    names = dev.states.elements
+    ground = GroundSet(names[x] + ("'" if order.index(x) < i else "") for i, x in enumerate(order))
+    return Device(ground, [Partition.from_raw(ground, (p.labels[x] for x in order))
+                           for p in dev.partitions])
+
+
 # ----------------------------------------------------------------------
 # oracles
 

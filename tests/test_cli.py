@@ -254,6 +254,11 @@ MALFORMED = {
     "edge-endpoint-not-a-string": ("gi", [{"vertices": ["a", "b"], "edges": [[1, "a"]]}, EDGE]),
     "phi-target-not-a-string": ("verify", [TWO_STATES, TWO_STATES,
                                            {"phi": {"a": ["a"], "b": "b"}, "alpha": [0]}]),
+    "state-is-a-list": ("show", [{"states": [["a"], "b"], "partitions": [[[["a"]], ["b"]]]}]),
+    "state-is-a-number": ("show", [{"states": [1, "b"], "partitions": [[[1], ["b"]]]}]),
+    "block-label-null": ("show", [{"states": ["None", "b"], "partitions": [[[None], ["b"]]]}]),
+    "alpha-is-a-boolean": ("verify", [TWO_STATES, TWO_STATES,
+                                      {"phi": {"a": "a", "b": "b"}, "alpha": [False]}]),
 }
 
 

@@ -16,6 +16,7 @@ from asdkit.devices import (
 )
 from asdkit.errors import HypothesisViolation, LimitExceeded, NonUniqueTau, PreconditionMismatch
 from asdkit.factorization import (
+    _extract_candidate_factors,
     binary_product_reduce,
     extract_index_partition,
     factor_binary,
@@ -203,6 +204,33 @@ def test_factor_binary_negatives():
     assert factor_binary(make_perfect(6)) is None
     g5 = random_binary_device(random.Random(3), 4)
     assert factor_binary(direct_product(g5, make_perfect(3))) is None
+
+
+def _labelled(*rows):
+    ground = GroundSet(str(x) for x in range(len(rows[0])))
+    return Device(ground, [Partition.from_raw(ground, row) for row in rows])
+
+
+# minimal devices that the product probe rejects, one per way it can give up
+PROBE_REJECTS = {
+    # the family join has two blocks, of 4 states and 1
+    "unequal join blocks": _labelled((0, 0, 1, 0, 2), (0, 1, 2, 2, 3)),
+    # the join is one block, and the two reads join to it, so no 2-block lift exists
+    "no 2-block lift": _labelled((0, 1, 1, 0, 2), (0, 1, 2, 1, 1)),
+    # the first read refines no lift, so the one lift has no anchor
+    "lift without one anchor": _labelled((0, 1, 0, 1, 0, 0), (0, 1, 1, 2, 3, 1), (0, 1, 2, 2, 1, 3)),
+    # the one lift is its own anchor and gives a 2-state factor, but there are 7 states
+    "factor sizes miss the state count": _labelled(
+        (0, 0, 1, 2, 0, 2, 0), (0, 1, 1, 1, 1, 0, 1), (0, 1, 1, 2, 0, 2, 1), (0, 1, 1, 2, 3, 3, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_REJECTS))
+def test_factor_binary_rejects_what_the_probe_cannot_split(case):
+    dev = PROBE_REJECTS[case]
+    assert minimize(dev).device == dev
+    assert _extract_candidate_factors(dev) is None
+    assert factor_binary(dev, audit=True) is None
 
 
 def test_factor_binary_round_trip_with_audit():

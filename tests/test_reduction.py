@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from asdkit import reduction
+from asdkit import factorization, reduction
 from asdkit.devices import (
     Device,
     classify,
@@ -18,7 +18,7 @@ from asdkit.devices import (
 )
 from asdkit.errors import PreconditionMismatch, SearchBudgetExceeded
 from asdkit.graphs import complete_graph, graph_device, make_graph
-from asdkit.minimization import is_state_minimal, minimize
+from asdkit.minimization import is_state_minimal, minimize, state_quotient
 from asdkit.partitions import GroundSet, Partition
 from asdkit.reduction import (
     _search_bijection,
@@ -37,6 +37,7 @@ from corpus import (
     random_device,
     random_small_pair,
     reducible_pair,
+    with_twins,
 )
 
 L2 = make_linear(2)
@@ -82,7 +83,8 @@ def test_agrees_with_brute_force_oracle():
     """Witness-exact agreement on small pairs, including the None side.
 
     The bitmask fallback is checked on the same pairs without the prescreen,
-    so its own search decides every one of them.
+    so its own search decides every one of them, from the source's state
+    quotient with the witness lifted back as find_reduction does.
     """
     rng = random.Random(131)
     agree = 0
@@ -90,7 +92,10 @@ def test_agrees_with_brute_force_oracle():
         src, dst = random_small_pair(rng)
         expect = least_reduction_oracle(src, dst)
         got = find_reduction(src, dst)
-        fallback = _search_reduction_bitmask(src, dst, 10_000_000, is_state_minimal(src))
+        quot, meet = state_quotient(src)
+        fallback = _search_reduction_bitmask(quot, dst, 10_000_000)
+        if fallback is not None:
+            fallback = Reduction(tuple(fallback.phi[c] for c in meet.labels), fallback.alpha)
         for red in (got, fallback):
             if expect is None:
                 assert red is None
@@ -130,27 +135,31 @@ def _min_pair_search(a, b):
     return lambda budget: _search_bijection(am, bm, budget)
 
 
-# (search, nodes needed to decide, decided yes); each mode has a yes and a no
+def _twin_search(src, dst, k, seed):
+    """find_reduction from src with k of its states given twins, so from its state quotient."""
+    twinned = with_twins(random.Random(seed), src, k)
+    return lambda budget: find_reduction(twinned, dst, budget=budget, structural=False)
+
+
+# (search, nodes needed to decide, decided yes); each search has a yes and a no
 NODE_PINS = {
     "numpy L2xL3 -> L3xL2": (
-        lambda b: _search_reduction(direct_product(L2, L3), direct_product(L3, L2), b, True),
+        lambda b: _search_reduction(direct_product(L2, L3), direct_product(L3, L2), b),
         528, True),
     "numpy K4 -> octahedron": (
-        lambda b: _search_reduction(K4, OCTAHEDRON, b, True), 474, False),
+        lambda b: _search_reduction(K4, OCTAHEDRON, b), 474, False),
     "numpy random pair 9": (
-        lambda b: _search_reduction(*_random_pair(9), b, True), 279, True),
-    "numpy random pair 9, not injective": (
-        lambda b: _search_reduction(*_random_pair(9), b, False), 412, True),
-    "numpy random pair 60, not injective": (
-        lambda b: _search_reduction(*_random_pair(60), b, False), 60, False),
+        lambda b: _search_reduction(*_random_pair(9), b), 279, True),
+    # the quotient of L2xL3 with 11 twins is L2xL3, so the count is the one above
+    "twin source L2xL3 with 11 twins -> L3xL2": (
+        _twin_search(direct_product(L2, L3), direct_product(L3, L2), 11, 11), 528, True),
+    "twin source random pair 56 with 3 twins": (_twin_search(*_random_pair(56), 3, 56), 352, False),
     "bitmask random pair 9": (
-        lambda b: _search_reduction_bitmask(*_random_pair(9), b, True), 1301, True),
+        lambda b: _search_reduction_bitmask(*_random_pair(9), b), 1301, True),
     "bitmask K4 -> octahedron": (
-        lambda b: _search_reduction_bitmask(K4, OCTAHEDRON, b, True), 942, False),
+        lambda b: _search_reduction_bitmask(K4, OCTAHEDRON, b), 942, False),
     "bitmask random pair 11": (
-        lambda b: _search_reduction_bitmask(*_random_pair(11), b, True), 4088, False),
-    "bitmask random pair 20, not injective": (
-        lambda b: _search_reduction_bitmask(*_random_pair(20), b, False), 570, False),
+        lambda b: _search_reduction_bitmask(*_random_pair(11), b), 4088, False),
     "bijection P4 relabelled": (_relabel_search(make_projective(4), 0), 968, True),
     "bijection L2xL2 relabelled": (_relabel_search(direct_product(L2, L2), 0), 3112, True),
     # states with unequal size profiles, so the profile filter prunes here
@@ -195,14 +204,13 @@ def test_numpy_step_decides_against_a_40000_state_target(monkeypatch):
     big = GroundSet(str(i) for i in range(40_000))
     dst = Device(big, [Partition.identity(big)])
     one, two = GroundSet(["x"]), GroundSet(["x", "y"])
-    assert _search_reduction(Device(one, [Partition.top(one)]), dst, 10, True) == \
+    assert _search_reduction(Device(one, [Partition.top(one)]), dst, 10) == \
         Reduction((0,), (0,))
-    assert _search_reduction(Device(two, [Partition.identity(two)]), dst, 10, True) == \
+    assert _search_reduction(Device(two, [Partition.identity(two)]), dst, 10) == \
         Reduction((0, 1), (0,))
     dst2 = Device(big, [Partition.identity(big), Partition.top(big)])
     src2 = Device(two, [Partition.identity(two), Partition.top(two)])
-    assert _search_reduction(src2, dst2, 10, True) == Reduction((0, 1), (0, 1))
-    assert _search_reduction(src2, dst2, 10, False) == Reduction((0, 1), (0, 1))
+    assert _search_reduction(src2, dst2, 10) == Reduction((0, 1), (0, 1))
 
 
 def test_int16_owners_never_exceed_8867_blocks(monkeypatch):
@@ -217,7 +225,46 @@ def test_int16_owners_never_exceed_8867_blocks(monkeypatch):
     monkeypatch.setattr(reduction, "_search_reduction_bitmask", lambda *args: sentinel)
     g = GroundSet(str(i) for i in range(8_868))
     dev = Device(g, [Partition.identity(g)])
-    assert _search_reduction(dev, dev, 10, True) is sentinel
+    assert _search_reduction(dev, dev, 10) is sentinel
+
+
+def _nine_state_trio(seed):
+    """A 9-state binary device that is no product, and two products of 3-state binaries."""
+    rng = random.Random(seed)
+    single = random_binary_device(rng, 9)
+    return single, *(direct_product(random_binary_device(rng, 3), random_binary_device(rng, 3))
+                     for _ in range(2))
+
+
+def test_structural_refutation_only_refutes(monkeypatch):
+    """Each way the structural refutation declines leaves the answer to the search.
+
+    A source or target that is no product of two or more non-perfect
+    binaries, or a budget hit inside a factorization, makes it return False,
+    so find_reduction answers exactly as with structural=False.
+    """
+    calls = []
+    factor_binary = factorization.factor_binary
+    monkeypatch.setattr(factorization, "factor_binary",
+                        lambda dev, **kw: calls.append(dev) or factor_binary(dev, **kw))
+    single, prod, _ = _nine_state_trio(1)
+    # a source with one binary factor; then a target that is perfect, so has no binary factors
+    for src, dst, factored in ((single, prod, 1), (prod, make_perfect(9), 2)):
+        calls.clear()
+        assert not reduction._structural_refute(src, dst, 10 ** 6)
+        assert len(calls) == factored
+        assert find_reduction(src, dst) == find_reduction(src, dst, structural=False)
+
+    _, a, b = _nine_state_trio(3)
+    assert reduction._structural_refute(a, b, 10 ** 6)
+
+    def over_budget(dev, **kw):
+        raise SearchBudgetExceeded(1, 0)
+
+    monkeypatch.setattr(factorization, "factor_binary", over_budget)
+    assert not reduction._structural_refute(a, b, 10 ** 6)
+    assert find_reduction(a, b) is None
+    assert find_reduction(a, b, structural=False) is None
 
 
 def test_product_composition_of_witnesses():
