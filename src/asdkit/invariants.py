@@ -128,6 +128,28 @@ def invariant_report(dev: Device) -> dict:
 # pairwise polynomial signature
 
 
+def _pair_chunk(q: int, r: int) -> int:
+    """Reads per row chunk of _pair_counts: about 4M (read, read, block, block) entries."""
+    return max(1, (1 << 22) // (q * r * r))
+
+
+def _pair_counts_bytes(dev: Device) -> int:
+    """Upper estimate of the bytes _pair_counts(dev) allocates at its peak.
+
+    The int64 labels and the float32 one-hot matrix take 8 and 4 * r bytes per
+    read and state, the eye and earlier masks r * r bytes each, and the two
+    (q, q) int64 results 16 * q * q.  A chunk of ca reads has E = ca * q * r * r
+    entries at most, and at the peak of the closure loop g, mf, af and the
+    product af @ af hold them as float32 and m, adj, prev and the compared
+    product as bool: 20 bytes per entry.  1 MiB covers the small arrays.
+    """
+    parts = dev.partitions
+    q, n = len(parts), dev.num_states
+    r = max(p.num_blocks for p in parts)
+    ca = min(q, _pair_chunk(q, r))
+    return (8 + 4 * r) * q * n + 20 * ca * q * r * r + 2 * r * r + 16 * q * q + (1 << 20)
+
+
 @once_per_device
 def _pair_counts(dev: Device) -> tuple[np.ndarray, np.ndarray]:
     """Block counts of meet and join for every ordered pair of reads.
@@ -150,7 +172,7 @@ def _pair_counts(dev: Device) -> tuple[np.ndarray, np.ndarray]:
     joins = np.empty((q, q), dtype=np.int64)
     eye = np.eye(r, dtype=bool)
     earlier = np.tri(r, k=-1, dtype=bool)  # earlier[i, j] iff j < i
-    chunk = max(1, (1 << 22) // max(1, q * r * r))
+    chunk = _pair_chunk(q, r)
     for a0 in range(0, q, chunk):  # both counts are symmetric: rows a, columns b >= a0
         a1 = min(q, a0 + chunk)
         ca = a1 - a0

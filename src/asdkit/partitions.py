@@ -69,7 +69,7 @@ class GroundSet:
         return iter(self.elements)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GroundSet) and self.elements == other.elements
+        return self is other or isinstance(other, GroundSet) and self.elements == other.elements
 
     def __hash__(self) -> int:
         return self._hash

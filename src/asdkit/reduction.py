@@ -5,9 +5,10 @@ order, trying target states in declaration order, so the first witness found
 is lexicographically least.  Each search adds one narrowing step that keeps,
 per source read, the target reads consistent with every assigned pair so far;
 at full depth that is exactly the reduction condition.  The numpy step of
-_search_reduction adds capacity and pair-count pruning.  The bitmask step
-serves the fallback for oversized inputs and, with an extra "equal" check on
-the same masks, the exact-match equivalence search.
+_search_reduction adds capacity and pair-count pruning, the latter on
+compatibility rows packed 64 to a uint64 word.  The bitmask step serves the
+fallback for oversized inputs and, with an extra "equal" check on the same
+masks, the exact-match equivalence search.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import config
 from .devices import Device
 from .errors import AsdError, PreconditionMismatch, SearchBudgetExceeded
-from .invariants import _pair_counts, prescreen
+from .invariants import _pair_counts, _pair_counts_bytes, prescreen
 from .minimization import is_partition_minimal, is_state_minimal, minimize, state_quotient
 from .partitions import GroundSet, Partition
 from .witnesses import Reduction, compose, verify_reduction
@@ -205,16 +206,23 @@ def _sizes_regroup(a_sizes: tuple[int, ...], b_sizes: tuple[int, ...]) -> bool:
     return fill(0, 0)
 
 
-def _ac_narrow(alive: np.ndarray, allowf: np.ndarray) -> np.ndarray | None:
+def _words(bits: np.ndarray) -> np.ndarray:
+    """bits packed over the last axis into zero-padded uint64 words, moved to the front axis."""
+    out = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 8,), dtype=np.uint8)
+    out[..., :-(-bits.shape[-1] // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return np.moveaxis(out.view(np.uint64), -1, 0)
+
+
+def _ac_narrow(alive: np.ndarray, allowb: np.ndarray) -> np.ndarray | None:
     """Prune candidates with no compatible partner in some other read's row.
 
-    alive is (src reads, dst reads) boolean, allowf the pairwise
-    compatibility tensor as float32.  Iterates to a fixed point; returns the
-    narrowed matrix, or None once any row empties.
+    alive is (src reads, dst reads) boolean; allowb[:, i, i2, j] packs by _words
+    the j2 compatible with (i, j) in row i2 (word axis first: numpy reduces a
+    short last axis slowly; AND and != 0 ignore byte order).  Iterates to a
+    fixed point; returns the narrowed matrix, or None once any row empties.
     """
     while True:
-        f = np.matmul(allowf, alive.astype(np.float32)[None, :, :, None])
-        new = alive & (f[..., 0] > 0).all(axis=1)
+        new = alive & ((allowb & _words(alive)[:, None, :, None]) != 0).any(axis=0).all(axis=1)
         if not new.any(axis=1).all():
             return None
         if new.sum() == alive.sum():
@@ -239,7 +247,8 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     source, so a valid assignment needs |meet of target picks| >= |meet of
     the source pair| for every pair of reads, and the join-count analogue
     when phi must be a bijection; candidates with no compatible partner in
-    some other row are dropped until that stabilizes.  A bijective pullback
+    some other row are dropped until that stabilizes, testing 64 partners per
+    AND of packed words (Lecoutre & Vion 2008).  A bijective pullback
     also keeps the target's block sizes, so those must regroup into the
     source's sizes by exact subset sums.  Every pruning only removes choices
     that can never be completed, so the witness stays lexicographically
@@ -271,18 +280,20 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
         if not alive0.any(axis=1).all():
             return None
 
-    # _pair_counts takes ~4 bytes per read, block and state; as blocks <= states,
-    # every input with nd*nd*p + ne*ne*q <= 300 MB keeps pair propagation
-    ac = None
-    if p >= 2 and p * p * q * q <= 40_000_000 and p * rdmax * nd + q * remax * ne <= 300 * 2 ** 20:
+    # pair propagation packs (p, p, q, q) bits into w-word rows: 8 bytes a word,
+    # 9 more for a round's AND and != 0, within the 160 MB that the float32
+    # tensor took at its old 40M-entry bound; _pair_counts_bytes bounds the pass
+    ac, w = None, -(-q // 64)
+    if (p >= 2 and 17 * p * p * q * w <= 160_000_000
+            and max(_pair_counts_bytes(src), _pair_counts_bytes(dst)) <= 300 * 2 ** 20):
         dm, dj = _pair_counts(src)
         em, ej = _pair_counts(dst)
-        allow = em[None, None, :, :] >= dm[:, :, None, None]
-        if nd == ne:
-            allow &= ej[None, None, :, :] >= dj[:, :, None, None]
-        if not allow.all():
-            ac = allow.astype(np.float32)
-            alive0 = _ac_narrow(alive0, ac)
+        allowb = np.empty((w, p, p, q), dtype=np.uint64)
+        for i in range(p):  # one source read at a time, so no (p, p, q, q) tensor exists
+            ok = em >= dm[i, :, None, None]
+            allowb[:, i] = _words(ok & (ej >= dj[i, :, None, None]) if nd == ne else ok)
+        if not (allowb == _words(np.ones(q, dtype=bool))[:, None, None, None]).all():
+            ac, alive0 = allowb, _ac_narrow(alive0, allowb)
             if alive0 is None:
                 return None
 

@@ -219,6 +219,26 @@ def perfectness_oracle(dev: Device):
     return math.inf
 
 
+def ac_fixpoint_oracle(alive, allow):
+    """Greatest arc-consistent submatrix of alive, or None if a row empties.
+
+    alive[i][j] survives while every row i2 (i itself included) holds a live
+    j2 with allow[i][i2][j][j2]; candidates are dropped one at a time until
+    none changes.  Plain nested lists of booleans, no numpy.
+    """
+    p, q = len(alive), len(alive[0])
+    alive = [list(row) for row in alive]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in product(range(p), range(q)):
+            if alive[i][j] and not all(any(alive[i2][j2] and allow[i][i2][j][j2] for j2 in range(q))
+                                       for i2 in range(p)):
+                alive[i][j] = False
+                changed = True
+    return alive if all(any(row) for row in alive) else None
+
+
 def clique_oracle(g: Graph, k: int) -> bool:
     if k == 0:
         return True

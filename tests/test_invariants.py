@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from asdkit.errors import LimitExceeded
 from asdkit.invariants import (
     INFINITE,
     _pair_counts,
+    _pair_counts_bytes,
     capacity,
     invariant_report,
     perfectness_index,
@@ -217,6 +219,29 @@ def test_pair_counts_across_chunk_boundaries():
     for a, b in pairs:
         assert meets[a, b] == parts[a].meet(parts[b]).num_blocks
         assert joins[a, b] == parts[a].join(parts[b]).num_blocks
+
+
+@pytest.mark.parametrize("reads, blocks, states", [(300, 3, 200), (3, 300, 600)])
+def test_pair_counts_peak_within_its_estimate(reads, blocks, states):
+    """_pair_counts_bytes bounds the traced peak of _pair_counts from above,
+    with many reads of few blocks (one chunk of many reads) and with few
+    reads of many blocks (one read per chunk), and stays within twice it."""
+    from asdkit.devices import Device
+    from asdkit.partitions import GroundSet, Partition
+    rng = random.Random(reads)
+    g = GroundSet(str(i) for i in range(states))
+    parts = {}
+    while len(parts) < reads:
+        pt = Partition.from_raw(g, [rng.randrange(blocks) for _ in range(states)])
+        parts[pt.labels] = pt
+    dev = Device(g, parts.values())
+    tracemalloc.start()
+    try:
+        _pair_counts(dev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _pair_counts_bytes(dev) <= 2 * peak
 
 
 def test_memo_shares_results_and_skips_errors():

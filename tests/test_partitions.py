@@ -67,6 +67,17 @@ def test_ground_mismatch_rejected():
         Partition.identity(ABC).refines(Partition.top(G4))
 
 
+def test_equal_ground_sets_compare_equal_without_being_shared():
+    """Equality is by elements: an equal but distinct ground set passes the
+    same-ground check, a reordered or different one does not."""
+    twin = GroundSet("1234")
+    assert twin is not G4 and twin == G4 and not twin != G4 and G4 == G4
+    assert Partition.identity(twin).refines(Partition.identity(G4))
+    assert GroundSet("2134") != G4 and GroundSet("123") != G4 and G4 != "1234"
+    with pytest.raises(GroundMismatch):
+        Partition.identity(GroundSet("2134")).meet(Partition.identity(G4))
+
+
 def test_meet_examples():
     p = Partition.from_blocks(G4, [["1", "2"], ["3", "4"]])
     q = Partition.from_blocks(G4, [["1", "3"], ["2", "4"]])

@@ -3,7 +3,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asdkit import factorization, reduction
 from asdkit.devices import (
@@ -32,6 +34,7 @@ from asdkit.reduction import (
 from asdkit.witnesses import Reduction, identity_reduction, verify_reduction
 
 from corpus import (
+    ac_fixpoint_oracle,
     least_reduction_oracle,
     random_binary_device,
     random_device,
@@ -211,6 +214,77 @@ def test_numpy_step_decides_against_a_40000_state_target(monkeypatch):
     dst2 = Device(big, [Partition.identity(big), Partition.top(big)])
     src2 = Device(two, [Partition.identity(two), Partition.top(two)])
     assert _search_reduction(src2, dst2, 10) == Reduction((0, 1), (0, 1))
+
+
+def _refuse_bitmask(*args):
+    pytest.fail("handed to the bitmask step")
+
+
+def _many_read_device(reads, states, seed):
+    """A device of `reads` distinct random reads of 2-4 blocks each."""
+    rng = random.Random(seed)
+    g = GroundSet(str(i) for i in range(states))
+    parts = {}
+    while len(parts) < reads:
+        k = rng.randint(2, 4)
+        pt = Partition.from_raw(g, [rng.randrange(k) for _ in range(states)])
+        parts[pt.labels] = pt
+    return Device(g, parts.values())
+
+
+def test_pair_propagation_beyond_the_float32_bound(monkeypatch):
+    """80 reads a side passes the 40M-entry bound of a float32 (p, p, q, q)
+    tensor, but packed into 2-word rows it takes 8 MB, so _ac_narrow runs."""
+    p = q = 80
+    assert p * p * q * q > 40_000_000 and 17 * p * p * q * 2 <= 160_000_000
+    shapes = []
+
+    def spy(alive, allowb):
+        shapes.append(allowb.shape)
+        return ac_narrow(alive, allowb)
+
+    ac_narrow = reduction._ac_narrow
+    monkeypatch.setattr(reduction, "_ac_narrow", spy)
+    monkeypatch.setattr(reduction, "_search_reduction_bitmask", _refuse_bitmask)
+    dev = _many_read_device(80, 10, 1)
+    red = _search_reduction(dev, dev, 1000)
+    assert red is not None and verify_reduction(dev, dev, red)
+    assert shapes and set(shapes) == {(2, p, p, q)}
+
+
+def test_pair_propagation_skipped_beyond_the_packed_bound(monkeypatch):
+    """150 reads a side packs into 3-word rows of 81 MB, with a round's
+    temporaries over the 160 MB bound, so no pair counts are taken."""
+    p = q = 150
+    assert 17 * p * p * q * 3 > 160_000_000
+
+    def refuse(dev):
+        pytest.fail("pair counts taken above the packed bound")
+
+    monkeypatch.setattr(reduction, "_pair_counts", refuse)
+    monkeypatch.setattr(reduction, "_search_reduction_bitmask", _refuse_bitmask)
+    dev = _many_read_device(150, 8, 2)
+    red = _search_reduction(dev, dev, 1000)
+    assert red is not None and verify_reduction(dev, dev, red)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([1, 7, 63, 64, 65, 130]),
+       st.floats(0.5, 1.0), st.floats(0.5, 8.0), st.integers(0, 2 ** 32 - 1))
+def test_packed_ac_narrow_matches_the_plain_fixpoint(p, q, live, partners, seed):
+    """_ac_narrow on the packed tensor returns the plain arc-consistency fixpoint.
+
+    q covers a word with padding bits (1, 7, 63), a full word (64) and rows of
+    two and three words (65, 130).  Each candidate has about `partners`
+    compatible candidates per row, so draws keep every candidate, prune some,
+    or empty a row.
+    """
+    rng = np.random.default_rng(seed)
+    alive = rng.random((p, q)) < live
+    allow = rng.random((p, p, q, q)) < partners / q
+    got = reduction._ac_narrow(alive, reduction._words(allow))
+    assert (None if got is None else got.tolist()) == ac_fixpoint_oracle(alive.tolist(),
+                                                                         allow.tolist())
 
 
 def test_int16_owners_never_exceed_8867_blocks(monkeypatch):
