@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
-from . import config
 from .devices import Device, direct_product, k_reads, make_linear, make_perfect, make_projective
-from .errors import AsdError
+from .errors import AsdError, LimitExceeded
 from .factorization import MAX_CERTIFIED_STATES, factor_binary, factor_perfect
 from .graphs import Graph, clique_via_reduction, gi_via_equivalence, graph_device
 from .invariants import invariant_report, poly_signature, prescreen
@@ -49,12 +49,14 @@ def _signature_certificate(a: Device, b: Device) -> dict | None:
     """Least depth-2 profile whose multiplicities differ, or None.
 
     Computed on the minimized devices; a difference certifies
-    non-equivalence independently of any search.
+    non-equivalence independently of any search.  None also when a
+    signature is too large to compute.
     """
-    from collections import Counter
-
-    sa = Counter(poly_signature(minimize(a).device))
-    sb = Counter(poly_signature(minimize(b).device))
+    try:
+        sa = Counter(poly_signature(minimize(a).device))
+        sb = Counter(poly_signature(minimize(b).device))
+    except LimitExceeded:
+        return None
     for profile in sorted(set(sa) | set(sb)):
         if sa[profile] != sb[profile]:
             return {
@@ -66,9 +68,9 @@ def _signature_certificate(a: Device, b: Device) -> dict | None:
     return None
 
 
-# each handler returns the process exit code
+# each handler returns its JSON document and the process exit code
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[dict, int]:
     if args.kind == "cm":
         dev = make_perfect(int(args.params[0]))
     elif args.kind == "pn":
@@ -79,175 +81,134 @@ def _cmd_gen(args) -> int:
         dev = make_linear(n, k)
     else:  # graph-device
         dev = graph_device(_load_graph(args.params[0]))
-    _emit(dev.to_dict(), args.output)
-    return 0
+    return dev.to_dict(), 0
 
 
-def _cmd_show(args) -> int:
-    _emit(_load_device(args.file).to_dict(), args.output)
-    return 0
+def _cmd_show(args) -> tuple[dict, int]:
+    return _load_device(args.file).to_dict(), 0
 
 
-def _cmd_minimize(args) -> int:
+def _cmd_minimize(args) -> tuple[dict, int]:
     dev = _load_device(args.file)
     res = minimize(dev)
-    _emit(
-        {
-            "device": res.device.to_dict(),
+    return {"device": res.device.to_dict(),
             "to_min": reduction_to_dict(dev, res.device, res.to_min),
-            "from_min": reduction_to_dict(res.device, dev, res.from_min),
-        },
-        args.output,
-    )
-    return 0
+            "from_min": reduction_to_dict(res.device, dev, res.from_min)}, 0
 
 
-def _cmd_invariants(args) -> int:
-    _emit(invariant_report(_load_device(args.file)), args.output)
-    return 0
+def _cmd_invariants(args) -> tuple[dict, int]:
+    return invariant_report(_load_device(args.file)), 0
 
 
-def _cmd_product(args) -> int:
-    _emit(direct_product(_load_device(args.a), _load_device(args.b)).to_dict(), args.output)
-    return 0
+def _cmd_product(args) -> tuple[dict, int]:
+    return direct_product(_load_device(args.a), _load_device(args.b)).to_dict(), 0
 
 
-def _cmd_kreads(args) -> int:
-    _emit(k_reads(_load_device(args.file), args.k).to_dict(), args.output)
-    return 0
+def _cmd_kreads(args) -> tuple[dict, int]:
+    return k_reads(_load_device(args.file), args.k).to_dict(), 0
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple[dict, int]:
     src = _load_device(args.a)
     dst = _load_device(args.b)
     reason = prescreen(src, dst)
     if reason is not None:
-        _emit({"reason": reason}, None)
-        return 1
+        return {"reason": reason}, 1
     red = find_reduction(src, dst)
     if red is None:
-        _emit({"reason": "no φ exists"}, None)
-        return 1
-    _emit(reduction_to_dict(src, dst, red), None)
-    return 0
+        return {"reason": "no φ exists"}, 1
+    return reduction_to_dict(src, dst, red), 0
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> tuple[dict, int]:
     a = _load_device(args.a)
     b = _load_device(args.b)
     eq = decide_equivalence(a, b)
     if eq is None:
         cert = _signature_certificate(a, b)
-        if cert is not None:
-            _emit({"reason": "signature", "certificate": cert}, None)
-        else:
-            _emit({"reason": "not equivalent"}, None)
-        return 1
+        if cert is None:
+            return {"reason": "not equivalent"}, 1
+        return {"reason": "signature", "certificate": cert}, 1
     fwd, back = eq
-    _emit(
-        {
-            "forward": reduction_to_dict(a, b, fwd),
-            "backward": reduction_to_dict(b, a, back),
-        },
-        None,
-    )
-    return 0
+    return {"forward": reduction_to_dict(a, b, fwd),
+            "backward": reduction_to_dict(b, a, back)}, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     src = _load_device(args.a)
     dst = _load_device(args.b)
     red = reduction_from_dict(src, dst, _load_json(args.witness))
     if verify_reduction(src, dst, red):
-        _emit({"valid": True}, None)
-        return 0
-    _emit({"valid": False}, None)
-    return 1
+        return {"valid": True}, 0
+    return {"valid": False}, 1
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> tuple[dict, int]:
     factors = factor_binary(_load_device(args.file), audit=args.audit)
     verdict = "consistent" if args.audit else "skipped"
     if factors is None:
-        _emit({"reason": "not a product of binary devices", "audit": verdict}, None)
-        return 1
-    _emit({"factors": [f.to_dict() for f in factors], "audit": verdict}, None)
-    return 0
+        return {"reason": "not a product of binary devices", "audit": verdict}, 1
+    return {"factors": [f.to_dict() for f in factors], "audit": verdict}, 0
 
 
-def _cmd_factor_perfect(args) -> int:
+def _cmd_factor_perfect(args) -> tuple[dict, int]:
     factors = factor_perfect(args.m)
-    _emit({"m": args.m, "factors": [list(f) for f in factors],
-           "certified": args.m <= MAX_CERTIFIED_STATES}, None)
-    return 0
+    return {"m": args.m, "factors": [list(f) for f in factors],
+            "certified": args.m <= MAX_CERTIFIED_STATES}, 0
 
 
-def _cmd_clique(args) -> int:
+def _cmd_clique(args) -> tuple[dict, int]:
     found, embedding = clique_via_reduction(_load_graph(args.graph), args.k)
     if not found:
-        _emit({"reason": f"no {args.k}-clique"}, None)
-        return 1
-    _emit({"embedding": embedding}, None)
-    return 0
+        return {"reason": f"no {args.k}-clique"}, 1
+    return {"embedding": embedding}, 0
 
 
-def _cmd_gi(args) -> int:
+def _cmd_gi(args) -> tuple[dict, int]:
     found, iso = gi_via_equivalence(_load_graph(args.g), _load_graph(args.h))
     if not found:
-        _emit({"reason": "not isomorphic"}, None)
-        return 1
-    _emit({"isomorphism": iso}, None)
-    return 0
+        return {"reason": "not isomorphic"}, 1
+    return {"isomorphism": iso}, 0
 
 
-def _cmd_ip_demo(args) -> int:
+def _cmd_ip_demo(args) -> tuple[dict, int]:
     out = ip_nonequiv_sim(_load_device(args.a), _load_device(args.b), args.trials, args.seed)
-    _emit(
-        {
-            "trials": out.trials,
-            "accepts": out.accepts,
-            "accept_rate": [out.accept_rate.numerator, out.accept_rate.denominator],
-        },
-        None,
-    )
-    return 0
+    return {"trials": out.trials, "accepts": out.accepts,
+            "accept_rate": [out.accept_rate.numerator, out.accept_rate.denominator]}, 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="asdkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    writes = argparse.ArgumentParser(add_help=False)  # commands that take -o
+    writes.add_argument("-o", "--output")
 
-    p = sub.add_parser("gen", help="generate a named device")
+    p = sub.add_parser("gen", parents=[writes], help="generate a named device")
     p.add_argument("kind", choices=["cm", "pn", "lnk", "graph-device"])
     p.add_argument("params", nargs="+", help="cm M | pn N | lnk N [K] | graph-device FILE")
-    p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("show", help="parse and re-emit a device canonically")
+    p = sub.add_parser("show", parents=[writes], help="parse and re-emit a device canonically")
     p.add_argument("file")
-    p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_show)
 
-    p = sub.add_parser("minimize", help="minimized device plus both witnesses")
+    p = sub.add_parser("minimize", parents=[writes], help="minimized device plus both witnesses")
     p.add_argument("file")
-    p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_minimize)
 
-    p = sub.add_parser("invariants", help="capacity, sigma and perfectness index")
+    p = sub.add_parser("invariants", parents=[writes], help="capacity, sigma and perfectness index")
     p.add_argument("file")
-    p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_invariants)
 
-    p = sub.add_parser("product", help="direct product of two devices")
+    p = sub.add_parser("product", parents=[writes], help="direct product of two devices")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_product)
 
-    p = sub.add_parser("kreads", help="close the family under meets of up to K reads")
+    p = sub.add_parser("kreads", parents=[writes],
+                       help="close the family under meets of up to K reads")
     p.add_argument("file")
     p.add_argument("k", type=int)
-    p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_kreads)
 
     p = sub.add_parser("reduce", help="decide A <= B; witness or reason")
@@ -298,13 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except AsdError as e:
+        doc, code = args.fn(args)
+        _emit(doc, getattr(args, "output", None))
+    except (AsdError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -133,6 +133,10 @@ def _pair_chunk(q: int, r: int) -> int:
     return max(1, (1 << 22) // (q * r * r))
 
 
+# bytes that _pair_counts, and the depth-2 signature built on it, may take
+MAX_PAIR_BYTES = 300 * 2 ** 20
+
+
 def _pair_counts_bytes(dev: Device) -> int:
     """Upper estimate of the bytes _pair_counts(dev) allocates at its peak.
 
@@ -224,11 +228,15 @@ def poly_signature(dev: Device, depth: int = 2) -> tuple:
     At the default depth the profile of an ordered pair (pi, rho) is
     (|pi|, |pi meet rho|, |pi join rho|).  Deeper profiles append the block
     counts of every structurally new polynomial up to the requested depth.
+    Raises LimitExceeded when the pair counts and the q * q profiles, about
+    113 bytes each, would take more than MAX_PAIR_BYTES.
     """
     if depth < 2 or depth > config.MAX_SIGNATURE_DEPTH:
         raise LimitExceeded(f"signature depth {depth} outside 2..{config.MAX_SIGNATURE_DEPTH}")
     parts = dev.partitions
     q = len(parts)
+    if _pair_counts_bytes(dev) + 113 * q * q > MAX_PAIR_BYTES:
+        raise LimitExceeded(f"signature of {q} reads would take over {MAX_PAIR_BYTES >> 20} MiB")
     if depth == 2:
         meets, joins = _pair_counts(dev)
         nb = np.array([p.num_blocks for p in parts], dtype=np.int64)

@@ -24,7 +24,7 @@ import numpy as np
 from . import config
 from .devices import Device
 from .errors import AsdError, PreconditionMismatch, SearchBudgetExceeded
-from .invariants import _pair_counts, _pair_counts_bytes, prescreen
+from .invariants import MAX_PAIR_BYTES, _pair_counts, _pair_counts_bytes, prescreen
 from .minimization import is_partition_minimal, is_state_minimal, minimize, state_quotient
 from .partitions import GroundSet, Partition
 from .witnesses import Reduction, compose, verify_reduction
@@ -285,7 +285,7 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     # tensor took at its old 40M-entry bound; _pair_counts_bytes bounds the pass
     ac, w = None, -(-q // 64)
     if (p >= 2 and 17 * p * p * q * w <= 160_000_000
-            and max(_pair_counts_bytes(src), _pair_counts_bytes(dst)) <= 300 * 2 ** 20):
+            and max(_pair_counts_bytes(src), _pair_counts_bytes(dst)) <= MAX_PAIR_BYTES):
         dm, dj = _pair_counts(src)
         em, ej = _pair_counts(dst)
         allowb = np.empty((w, p, p, q), dtype=np.uint64)
@@ -396,7 +396,9 @@ def find_reduction(
     factorizations can refute through the index-partition criterion; both
     steps refute only, so any witness still comes from the generic search
     and stays lexicographically least.  Pass structural=False to force the
-    generic decision, e.g. when the search itself is under test.  The search
+    generic decision, e.g. when the search itself is under test; the
+    structural step certifies factorizations through decide_equivalence, so
+    only structural=False is independent of it.  The search
     runs on src's state quotient and sends each state to its class's image:
     twins lie in the same block of every read, so in the least witness a twin
     takes its least twin's image, and the quotient keeps the reads in order.
@@ -463,28 +465,13 @@ def decide_equivalence(
     b: Device,
     *,
     budget: int = config.SEARCH_NODE_BUDGET,
-    method: str = "minimize",
 ) -> tuple[Reduction, Reduction] | None:
     """Witness pair (a->b, b->a) if the devices are equivalent, else None.
 
-    The default route minimizes both devices and looks for a bijection
-    matching the partition families exactly, which is complete on minimal
-    devices.  method="direct" instead runs the generic reduction search in
-    both directions; it is slower but independent, kept as a cross-check.
+    Minimizes both devices and looks for a bijection matching the partition
+    families exactly, which is complete on minimal devices; the witnesses
+    compose it with the minimization witnesses.
     """
-    if method == "direct":
-        # structural refutation certifies through the minimize route, so the
-        # cross-check keeps to the generic search alone
-        r_ab = find_reduction(a, b, budget=budget, structural=False)
-        if r_ab is None:
-            return None
-        r_ba = find_reduction(b, a, budget=budget, structural=False)
-        if r_ba is None:
-            return None
-        return r_ab, r_ba
-    if method != "minimize":
-        raise ValueError(f"unknown method {method!r}")
-
     am = minimize(a)
     bm = minimize(b)
     if am.device.num_states != bm.device.num_states:

@@ -119,6 +119,18 @@ def with_coarsened_reads(dev: Device) -> Device:
     return Device(dev.states, dev.partitions + tuple(extra))
 
 
+def two_block_reads(rng, q: int, n: int = 16) -> Device:
+    """q distinct random two-block reads on n states: a small file with many reads."""
+    ground = GroundSet(f"s{i}" for i in range(n))
+    parts: dict = {}
+    while len(parts) < q:
+        bits = [0] + [rng.randrange(2) for _ in range(n - 1)]
+        if max(bits):
+            p = Partition.from_raw(ground, bits)
+            parts[p.labels] = p
+    return Device(ground, parts.values())
+
+
 def with_twins(rng, dev: Device, k: int) -> Device:
     """dev with k of its states each given a twin, placed at random after its original.
 

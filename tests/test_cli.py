@@ -1,18 +1,22 @@
 """End-to-end command tests: exit codes, golden output, witness round trips."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from asdkit import cli, minimization
+from asdkit import cli, invariants, minimization
 from asdkit.devices import Device, direct_product, make_linear
 from asdkit.graphs import graph_device, make_graph
+from asdkit.reduction import find_reduction
+from asdkit.witnesses import reduction_to_dict
 
-from corpus import with_coarsened_reads
+from corpus import two_block_reads, with_coarsened_reads
 
 INVARIANTS_L4XL2 = """\
 {
@@ -70,6 +74,26 @@ def files(tmp_path_factory):
           "partitions": [[["0"], ["1"], ["2", "3"]], [["0", "1"], ["2"], ["3"]]]}
     (root / "d0.json").write_text(json.dumps(d0))
     (root / "d1.json").write_text(json.dumps(d1))
+
+    # an equivalent copy of l2xp2 with its states listed in reverse
+    with open(path("l2xp2.json"), encoding="utf-8") as fh:
+        rev = json.load(fh)
+    rev["states"].reverse()
+    (root / "l2xp2rev.json").write_text(json.dumps(rev))
+    # C6 and two triangles: inequivalent devices with equal depth-2 signatures
+    cycle = [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "f"], ["a", "f"]]
+    triangles = [["a", "b"], ["b", "c"], ["a", "c"], ["d", "e"], ["e", "f"], ["d", "f"]]
+    for name, edges in (("c6", cycle), ("2k3", triangles)):
+        (root / f"{name}.json").write_text(json.dumps({"vertices": list("abcdef"),
+                                                       "edges": edges}))
+        run(["gen", "graph-device", path(f"{name}.json"), "-o", path(f"{name}dev.json")])
+    src, dst = (Device.from_dict(json.loads((root / f).read_text()))
+                for f in ("l2.json", "l2sq.json"))
+    (root / "wit.json").write_text(json.dumps(
+        reduction_to_dict(src, dst, find_reduction(src, dst))))
+    states = json.loads((root / "l2.json").read_text())["states"]
+    bogus = {"phi": {s: states[0] for s in states}, "alpha": [0, 0, 0]}
+    (root / "bogus.json").write_text(json.dumps(bogus))
     return path
 
 
@@ -340,3 +364,127 @@ def test_gen_graph_device_and_equiv_without_certificate(tmp_path, capsys):
         devices[-1].write_text(out)
     assert cli.main(["equiv", *map(str, devices)]) == 1
     assert json.loads(capsys.readouterr().out) == {"reason": "not equivalent"}
+
+
+def test_equiv_without_certificate_when_the_signature_is_too_large(tmp_path, monkeypatch, capsys):
+    """2,000 two-block reads on 16 states: no signature is computed, and the
+    answer is the plain reason with exit 1."""
+    def fail(_):
+        raise AssertionError("_pair_counts ran")
+
+    monkeypatch.setattr(invariants, "_pair_counts", fail)
+    many = two_block_reads(random.Random(6), 2000)
+    (tmp_path / "many.json").write_text(json.dumps(many.to_dict()))
+    (tmp_path / "l3.json").write_text(json.dumps(make_linear(3).to_dict()))
+    assert cli.main(["equiv", str(tmp_path / "many.json"), str(tmp_path / "l3.json")]) == 1
+    assert capsys.readouterr() == ('{\n  "reason": "not equivalent"\n}\n', "")
+
+
+def _pin(text: str) -> str:
+    """Short outputs verbatim, long ones by digest."""
+    if len(text) <= 80:
+        return text
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# (argv, exit code, stdout, stderr, -o file) with every output pinned by _pin;
+# an argument ending in .json names a fixture file, except under out/, which
+# is the test's own directory and where -o writes; ROOT and OUT stand for the
+# two directories in stderr
+GOLDEN = [
+    (["gen", "cm", "3"], 0,
+     'sha256:b61d8bce35c4e49a8809715086a94f00d231ad585c02f93e719bb604ea4554c5', '', None),
+    (["gen", "lnk", "2"], 0,
+     'sha256:fbbef81c1d1cde953687dbe18df066f59e12c3a97b5593b0419b5a92b988b135', '', None),
+    (["gen", "lnk", "3", "2"], 0,
+     'sha256:3129c2a770cbbb1b8f2d73748078f4f6b0a236d12523de94fc0f8c9e02f4bd5e', '', None),
+    (["gen", "pn", "2", "-o", "out/o.json"], 0,
+     '', '', 'sha256:359e9c053455eb08817b0113e4552b2c3ee54005f75a49d8e4b86fbffccff9f5'),
+    (["gen", "graph-device", "c6.json"], 0,
+     'sha256:6c966abb3a1612d4eafd6172736629a675aa2c146bab3047260e97b456c4de0c', '', None),
+    (["show", "l2.json"], 0,
+     'sha256:fbbef81c1d1cde953687dbe18df066f59e12c3a97b5593b0419b5a92b988b135', '', None),
+    (["show", "l2xp2rev.json", "-o", "out/o.json"], 0,
+     '', '', 'sha256:561d9491dad0c55ddd9a580e192b42e2d2b300ef28cff683c05d74c8646036c0'),
+    (["minimize", "l2sq.json"], 0,
+     'sha256:bcdc64d05ce4b9c8a8663926dc37c549805458cb760c182c9617cd0548d80885', '', None),
+    (["minimize", "l2xp2rev.json", "-o", "out/o.json"], 0,
+     '', '', 'sha256:9733b9ea333453af524df0adf784c1cd5352b37e0964b2a0b6dcb76e3e31fa38'),
+    (["invariants", "l4xl2.json"], 0,
+     '{\n  "capacity": 2,\n  "sigma": 6,\n  "perfectness_index": 4\n}\n', '', None),
+    (["invariants", "c6dev.json", "-o", "out/o.json"], 0,
+     '', '', 'sha256:a067ef43cd108293492cc5768772de961815150d93a0883edf8bdd1d4b01dfd4'),
+    (["product", "l2.json", "p2.json"], 0,
+     'sha256:1a424aa1714b24bcd859d2d27a893d0776312e837c2f8ecbb6d95de4cc534caa', '', None),
+    (["product", "l2.json", "l3.json", "-o", "out/o.json"], 0,
+     '', '', 'sha256:44de69d1d7d37800dc3bfbc84d5679a31b9d99bf3055ad3a1bc3a055d5276fca'),
+    (["kreads", "l2.json", "2"], 0,
+     'sha256:5c6f56b2ef8721ad2ea26eaed769061a2831849e8d2ae2d90ce00163e2c061e5', '', None),
+    (["kreads", "p2.json", "2", "-o", "out/o.json"], 0,
+     '', '', 'sha256:57443e6beb158eab62f0d0c1edb4a18bedaf514a0ea864ad1beddfb1727fd468'),
+    (["reduce", "l2cubed.json", "l3xl3.json"], 1,
+     '{\n  "reason": "capacity"\n}\n', '', None),
+    (["reduce", "l3.json", "l2.json"], 1,
+     '{\n  "reason": "sigma"\n}\n', '', None),
+    (["reduce", "l3xl3.json", "l4xl2.json"], 1,
+     '{\n  "reason": "perfectness"\n}\n', '', None),
+    (["reduce", "l3xl3.json", "l2cubed.json"], 1,
+     '{\n  "reason": "no φ exists"\n}\n', '', None),
+    (["reduce", "l2.json", "l2sq.json"], 0,
+     'sha256:88f831060297ae53156e8bb202c4d42065e5ce7e7e09837c5e2fd647729dff35', '', None),
+    (["equiv", "l2xp2.json", "l2xp2rev.json"], 0,
+     'sha256:811571711c5ffce0f33a949e260e47c7126b4f61c48fe39d630c76387ab334ca', '', None),
+    (["equiv", "d0.json", "d1.json"], 1,
+     'sha256:4a747dfa4d2a5267571658b0e72e805d130921c867a4f3d0665899f3bc00e278', '', None),
+    (["equiv", "c6dev.json", "2k3dev.json"], 1,
+     '{\n  "reason": "not equivalent"\n}\n', '', None),
+    (["verify", "l2.json", "l2sq.json", "wit.json"], 0,
+     '{\n  "valid": true\n}\n', '', None),
+    (["verify", "l2.json", "l2.json", "bogus.json"], 1,
+     '{\n  "valid": false\n}\n', '', None),
+    (["factor", "l2xp2.json", "--audit"], 0,
+     'sha256:eeb7ef57bf5246946bcb454440bd3f99acc8d7e3ad6cd190b90c4b8f0ee6b813', '', None),
+    (["factor", "l2xp2rev.json"], 0,
+     'sha256:7a004a3cd38195ceeba42f695e04911f6fdd2f7e4150e0f563a3c019b7f10c0a', '', None),
+    (["factor", "c3.json"], 1,
+     '{\n  "reason": "not a product of binary devices",\n  "audit": "skipped"\n}\n', '', None),
+    (["factor", "c3.json", "--audit"], 1,
+     '{\n  "reason": "not a product of binary devices",\n  "audit": "consistent"\n}\n', '', None),
+    (["factor-perfect", "12"], 0,
+     'sha256:e3296fb4a4330d3effc11c8966a313f2f0aebb79b471acceb650b0378b83799d', '', None),
+    (["factor-perfect", "1000"], 0,
+     'sha256:401dbeaf389680ec1825c6749c24d627e71d4edbb35ae53c7bb40dc5666ebcfe', '', None),
+    (["clique", "k5.json", "4"], 0,
+     'sha256:98273b382afbc91493c25128b0a47451983771fb46d6e46972ad6ad94dbc75b2', '', None),
+    (["clique", "path4.json", "4"], 1,
+     '{\n  "reason": "no 4-clique"\n}\n', '', None),
+    (["gi", "path4.json", "path4r.json"], 0,
+     'sha256:29997e08bfbbf28900d443867bdc2bdb6b46ba85bb00eb1baeb95053644117d7', '', None),
+    (["gi", "k4.json", "cyc4.json"], 1,
+     '{\n  "reason": "not isomorphic"\n}\n', '', None),
+    (["ip-demo", "d0.json", "d1.json", "--trials", "10", "--seed", "3"], 0,
+     '{\n  "trials": 10,\n  "accepts": 10,\n  "accept_rate": [\n    1,\n    1\n  ]\n}\n', '', None),
+    (["gen", "cm", "0"], 2,
+     '', 'error: need at least one state\n', None),
+    (["show", "nope.json"], 2,
+     '', "error: [Errno 2] No such file or directory: 'ROOT/nope.json'\n", None),
+    (["invariants", "l2.json", "-o", "out/missing/o.json"], 2,
+     '', "error: [Errno 2] No such file or directory: 'OUT/missing/o.json'\n", None),
+    (["equiv", "l2.json", "bogus.json"], 2,
+     '', "error: device document missing key 'states'\n", None),
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c[0]) for c in GOLDEN])
+def test_golden_bytes(case, files, tmp_path, capsys):
+    """Exact stdout, stderr, exit code and -o file of every subcommand."""
+    argv, code, out, err, written = case
+    root = os.path.dirname(files("x"))
+    args = [str(tmp_path / a[4:]) if a.startswith("out/")
+            else files(a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(args) == code
+    got_out, got_err = capsys.readouterr()
+    got_err = got_err.replace(str(tmp_path), "OUT").replace(root, "ROOT")
+    assert (_pin(got_out), _pin(got_err)) == (out, err)
+    target = tmp_path / "o.json"
+    assert (_pin(target.read_text(encoding="utf-8")) if target.exists() else None) == written

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from asdkit import invariants
 from asdkit.devices import (
     direct_product,
     k_reads,
@@ -17,6 +18,7 @@ from asdkit.devices import (
 from asdkit.errors import LimitExceeded
 from asdkit.invariants import (
     INFINITE,
+    MAX_PAIR_BYTES,
     _pair_counts,
     _pair_counts_bytes,
     capacity,
@@ -30,7 +32,7 @@ from asdkit.invariants import (
 from asdkit.minimization import minimize
 from asdkit.reduction import random_equivalent
 
-from corpus import random_device, with_coarsened_reads
+from corpus import random_device, two_block_reads, with_coarsened_reads
 
 L2 = make_linear(2)
 L3 = make_linear(3)
@@ -242,6 +244,34 @@ def test_pair_counts_peak_within_its_estimate(reads, blocks, states):
     finally:
         tracemalloc.stop()
     assert peak <= _pair_counts_bytes(dev) <= 2 * peak
+
+
+def test_signature_peak_within_its_estimate():
+    """The pair counts' estimate plus 113 bytes per profile bounds the traced
+    peak of a fresh depth-2 signature from above, and stays within twice it."""
+    dev = two_block_reads(random.Random(5), 300)
+    tracemalloc.start()
+    try:
+        poly_signature(dev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _pair_counts_bytes(dev) + 113 * 300 ** 2 <= 2 * peak
+
+
+def test_signature_refused_beyond_its_memory_bound(monkeypatch):
+    """2,000 two-block reads on 16 states (a JSON file of a few hundred kB)
+    would take about 570 MiB; the signature refuses before any pair count."""
+    dev = two_block_reads(random.Random(6), 2000)
+    assert _pair_counts_bytes(dev) + 113 * 2000 ** 2 > MAX_PAIR_BYTES
+
+    def fail(_):
+        raise AssertionError("_pair_counts ran")
+
+    monkeypatch.setattr(invariants, "_pair_counts", fail)
+    for depth in (2, 3):
+        with pytest.raises(LimitExceeded):
+            poly_signature(dev, depth=depth)
 
 
 def test_memo_shares_results_and_skips_errors():

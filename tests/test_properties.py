@@ -1,7 +1,8 @@
 """Property tests for the values each device memoizes: meet, minimization,
 perfectness index, pair counts and polynomial signature; the index is also
 checked against an exhaustive oracle and the product rule, and the meet, the
-depth-2 signature and the minimized reads against the lattice operations."""
+depth-2 signature and the minimized reads against the lattice operations.
+Reduction and equivalence verdicts are checked to ignore the state order."""
 
 import functools
 
@@ -11,7 +12,8 @@ from asdkit.devices import Device, direct_product
 from asdkit.invariants import _pair_counts, perfectness_index, poly_signature
 from asdkit.minimization import minimize
 from asdkit.partitions import GroundSet, Partition
-from asdkit.reduction import random_equivalent
+from asdkit.reduction import decide_equivalence, find_reduction, random_equivalent
+from asdkit.witnesses import verify_reduction
 
 from corpus import perfectness_oracle
 
@@ -93,3 +95,34 @@ def test_minimized_reads_are_canonical(dev):
     for p in m.partitions:
         c = Partition.from_raw(m.states, p.labels)
         assert (c.labels, c.num_blocks) == (p.labels, p.num_blocks)
+
+
+def _permuted(dev: Device, perm) -> Device:
+    """dev with its states listed in the order perm, renamed by position."""
+    ground = GroundSet(f"s{i}" for i in range(dev.num_states))
+    return Device(ground, [Partition.from_raw(ground, [p.labels[x] for x in perm])
+                           for p in dev.partitions])
+
+
+@st.composite
+def permuted_pairs(draw) -> tuple[Device, Device, Device, Device]:
+    """(a, b, a permuted, b permuted)."""
+    a, b = draw(devices()), draw(devices())
+    pa = _permuted(a, draw(st.permutations(range(a.num_states))))
+    pb = _permuted(b, draw(st.permutations(range(b.num_states))))
+    return a, b, pa, pb
+
+
+@SETTINGS
+@given(permuted_pairs())
+def test_state_order_changes_no_verdict(case):
+    a, b, pa, pb = case
+    assert find_reduction(a, pa) is not None and decide_equivalence(a, pa) is not None
+    reducible = find_reduction(a, b) is not None
+    for src, dst in ((pa, b), (a, pb), (pa, pb)):
+        red = find_reduction(src, dst)
+        assert (red is not None) == reducible
+        assert red is None or verify_reduction(src, dst, red)
+    equivalent = decide_equivalence(a, b) is not None
+    assert (decide_equivalence(pa, b) is not None) == equivalent
+    assert (decide_equivalence(a, pb) is not None) == equivalent

@@ -496,14 +496,21 @@ def test_random_equivalent_is_deterministic():
                                            [["0"], ["1", "2", "3"]]), seed=1)
 
 
-def test_equivalence_methods_agree():
+def test_equivalence_matches_mutual_reducibility():
+    """decide_equivalence says yes exactly when the enumeration oracle finds a
+    reduction each way; pairs of unrelated devices and relabelled copies."""
     rng = random.Random(173)
-    for _ in range(25):
+    for k in range(25):
         a = minimize(random_device(rng, 5, 3)).device
         b = minimize(random_device(rng, 5, 3)).device
-        via_min = decide_equivalence(a, b)
-        via_direct = decide_equivalence(a, b, method="direct")
-        assert (via_min is None) == (via_direct is None)
+        if k % 3 == 0:
+            b, _ = random_equivalent(a, seed=k)
+        wit = decide_equivalence(a, b)
+        mutual = (least_reduction_oracle(a, b) is not None
+                  and least_reduction_oracle(b, a) is not None)
+        assert (wit is not None) == mutual
+        if wit is not None:
+            assert verify_reduction(a, b, wit[0]) and verify_reduction(b, a, wit[1])
 
 
 def test_ip_sim_distinguishable_pair():
