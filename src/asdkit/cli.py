@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 from .devices import Device, direct_product, k_reads, make_linear, make_perfect, make_projective
-from .errors import AsdError, LimitExceeded
+from .errors import AsdError
 from .factorization import MAX_CERTIFIED_STATES, factor_binary, factor_perfect
 from .graphs import Graph, clique_via_reduction, gi_via_equivalence, graph_device
-from .invariants import invariant_report, poly_signature, prescreen
+from .invariants import _signature_certificate, invariant_report, prescreen
 from .minimization import minimize
 from .reduction import decide_equivalence, find_reduction, ip_nonequiv_sim
 from .witnesses import reduction_from_dict, reduction_to_dict, verify_reduction
@@ -43,29 +42,6 @@ def _load_device(path: str) -> Device:
 
 def _load_graph(path: str) -> Graph:
     return Graph.from_dict(_load_json(path))
-
-
-def _signature_certificate(a: Device, b: Device) -> dict | None:
-    """Least depth-2 profile whose multiplicities differ, or None.
-
-    Computed on the minimized devices; a difference certifies
-    non-equivalence independently of any search.  None also when a
-    signature is too large to compute.
-    """
-    try:
-        sa = Counter(poly_signature(minimize(a).device))
-        sb = Counter(poly_signature(minimize(b).device))
-    except LimitExceeded:
-        return None
-    for profile in sorted(set(sa) | set(sb)):
-        if sa[profile] != sb[profile]:
-            return {
-                "depth": 2,
-                "profile": list(profile),
-                "left_count": sa[profile],
-                "right_count": sb[profile],
-            }
-    return None
 
 
 # each handler returns its JSON document and the process exit code

@@ -267,7 +267,8 @@ def k_reads(dev: Device, k: int) -> Device:
                 if mp not in seen:
                     seen[mp] = None
                     fresh.append(mp)
-        if len(seen) > config.MAX_KREAD_PARTITIONS:
-            raise LimitExceeded(f"k-read closure exceeds {config.MAX_KREAD_PARTITIONS} partitions")
+                    if len(seen) > config.MAX_KREAD_PARTITIONS:
+                        raise LimitExceeded(
+                            f"k-read closure exceeds {config.MAX_KREAD_PARTITIONS} partitions")
         frontier = fresh
     return Device(dev.states, seen)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,25 +229,55 @@ def poly_signature(dev: Device, depth: int = 2) -> tuple:
     At the default depth the profile of an ordered pair (pi, rho) is
     (|pi|, |pi meet rho|, |pi join rho|).  Deeper profiles append the block
     counts of every structurally new polynomial up to the requested depth.
-    Raises LimitExceeded when the pair counts and the q * q profiles, about
-    113 bytes each, would take more than MAX_PAIR_BYTES.
+    The multiset is a sorted tuple of (profile, count) pairs, one per distinct
+    profile.  Raises LimitExceeded when the pair counts plus the depth-2
+    sort's int64 block-count column, lexsort order and sorted column and its
+    two bool masks (26 bytes per pair of reads) would exceed MAX_PAIR_BYTES.
     """
     if depth < 2 or depth > config.MAX_SIGNATURE_DEPTH:
         raise LimitExceeded(f"signature depth {depth} outside 2..{config.MAX_SIGNATURE_DEPTH}")
     parts = dev.partitions
     q = len(parts)
-    if _pair_counts_bytes(dev) + 113 * q * q > MAX_PAIR_BYTES:
+    if _pair_counts_bytes(dev) + 26 * q * q > MAX_PAIR_BYTES:
         raise LimitExceeded(f"signature of {q} reads would take over {MAX_PAIR_BYTES >> 20} MiB")
     if depth == 2:
         meets, joins = _pair_counts(dev)
         nb = np.array([p.num_blocks for p in parts], dtype=np.int64)
         cols = (np.repeat(nb, q), meets.ravel(), joins.ravel())
-        order = np.lexsort(cols[::-1])  # last key is primary: sorted as tuples
-        return tuple(zip(*(c[order].tolist() for c in cols)))
+        order = np.lexsort(cols[::-1])  # last key is primary: rows sorted as tuples
+        changed = np.zeros(q * q - 1, dtype=bool)  # sorted row i + 1 differs from row i
+        for c in cols:
+            s = c[order]
+            changed |= s[1:] != s[:-1]
+            del s  # before the next column is gathered
+        starts = np.r_[0, np.flatnonzero(changed) + 1]
+        counts = np.diff(starts, append=q * q).tolist()
+        first = order[starts]
+        return tuple(zip(zip(*(c[first].tolist() for c in cols)), counts))
     polys = _signature_polys(depth)
-    profiles = []
-    for pa in parts:
-        for pb in parts:
-            args = (pa, pb)
-            profiles.append(tuple(eval_poly(e, args).num_blocks for e in polys))
-    return tuple(sorted(profiles))
+    profiles = Counter(tuple(eval_poly(e, (pa, pb)).num_blocks for e in polys)
+                       for pa in parts for pb in parts)
+    return tuple(sorted(profiles.items()))
+
+
+def _signature_certificate(a: Device, b: Device) -> dict | None:
+    """Least depth-2 profile whose multiplicities differ, or None.
+
+    Computed on the minimized devices; a difference certifies
+    non-equivalence independently of any search.  None also when a
+    signature is too large to compute.
+    """
+    try:
+        sa = Counter(dict(poly_signature(minimize(a).device)))
+        sb = Counter(dict(poly_signature(minimize(b).device)))
+    except LimitExceeded:
+        return None
+    for profile in sorted(set(sa) | set(sb)):
+        if sa[profile] != sb[profile]:
+            return {
+                "depth": 2,
+                "profile": list(profile),
+                "left_count": sa[profile],
+                "right_count": sb[profile],
+            }
+    return None

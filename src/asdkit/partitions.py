@@ -117,19 +117,13 @@ class Partition:
     @classmethod
     def from_blocks(cls, ground: GroundSet, blocks: Iterable[Iterable[str]]) -> "Partition":
         """Canonicalize a block list; validates coverage, overlap and labels."""
-        n = len(ground)
-        assigned = [-1] * n
-        bid = 0
-        for block in blocks:
-            used = False
+        assigned = [-1] * len(ground)
+        for bid, block in enumerate(blocks):  # _dense renumbers: empty blocks leave no gap
             for lab in block:
                 i = ground.index_of(lab)
                 if assigned[i] != -1:
                     raise OverlapError(f"label {lab!r} appears in more than one block")
                 assigned[i] = bid
-                used = True
-            if used:
-                bid += 1
         for i, b in enumerate(assigned):
             if b == -1:
                 raise CoverageError(f"label {ground.elements[i]!r} missing from every block")

@@ -460,6 +460,14 @@ def _search_bijection(src: Device, dst: Device, budget: int):
     return phi, tuple(_lowest_bit(m) for m in final)
 
 
+def _inverse(seq) -> tuple[int, ...]:
+    """Inverse of a permutation of 0..len(seq)-1."""
+    inv = [0] * len(seq)
+    for i, t in enumerate(seq):
+        inv[t] = i
+    return tuple(inv)
+
+
 def decide_equivalence(
     a: Device,
     b: Device,
@@ -482,14 +490,8 @@ def decide_equivalence(
     if hit is None:
         return None
     phi, alpha = hit
-    inv_phi = [0] * len(phi)
-    for i, t in enumerate(phi):
-        inv_phi[t] = i
-    inv_alpha = [0] * len(alpha)
-    for i, j in enumerate(alpha):
-        inv_alpha[j] = i
     fwd = Reduction(phi, alpha)
-    back = Reduction(tuple(inv_phi), tuple(inv_alpha))
+    back = Reduction(_inverse(phi), _inverse(alpha))
     r_ab = compose(compose(am.to_min, fwd), bm.from_min)
     r_ba = compose(compose(bm.to_min, back), am.from_min)
     if not verify_reduction(a, b, r_ab) or not verify_reduction(b, a, r_ba):
@@ -509,20 +511,15 @@ def random_equivalent(dev: Device, seed: int) -> tuple[Device, tuple[Reduction, 
     n = dev.num_states
     perm = list(range(n))
     rng.shuffle(perm)  # perm[i] = new position of state i
-    inv = [0] * n
-    for i, t in enumerate(perm):
-        inv[t] = i
+    inv = _inverse(perm)
     ground = GroundSet(f"q{j}" for j in range(n))
     images = [Partition.from_raw(ground, (p.labels[inv[j]] for j in range(n)))
               for p in dev.partitions]
     other = Device(ground, images)
     slot = {pt.labels: j for j, pt in enumerate(other.partitions)}
     alpha = tuple(slot[img.labels] for img in images)
-    inv_alpha = [0] * len(alpha)
-    for i, j in enumerate(alpha):
-        inv_alpha[j] = i
     fwd = Reduction(tuple(perm), alpha)
-    back = Reduction(tuple(inv), tuple(inv_alpha))
+    back = Reduction(inv, _inverse(alpha))
     if not verify_reduction(dev, other, fwd) or not verify_reduction(other, dev, back):
         raise RuntimeError("internal: relabeling witness failed verification")
     return other, (fwd, back)

@@ -258,11 +258,23 @@ def test_ip_demo_deterministic(files, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_errors_exit_two(files, capsys):
-    assert cli.main(["show", files("nope.json")]) == 2
-    assert cli.main(["gen", "cm", "0"]) == 2
-    err = capsys.readouterr().err
-    assert err.strip()
+def test_errors_exit_two(files, capsys, tmp_path):
+    edgeless, twins = str(tmp_path / "edgeless.json"), str(tmp_path / "twins.json")
+    Path(edgeless).write_text(json.dumps({"vertices": list("abcd"), "edges": []}))
+    # a and b lie in one block of every read, so the device is not minimal
+    Path(twins).write_text(json.dumps({"states": ["a", "b", "c"],
+                                       "partitions": [[["a", "b"], ["c"]]]}))
+    for argv in (["show", files("nope.json")],
+                 ["gen", "cm", "0"],
+                 ["gen", "pn", "0"],
+                 ["gen", "lnk", "2", "3"],
+                 ["gen", "graph-device", edgeless],
+                 ["ip-demo", twins, twins, "--trials", "1", "--seed", "0"],
+                 # both minimal, with 2 and 3 reads
+                 ["ip-demo", files("d0.json"), files("l2.json"), "--trials", "1", "--seed", "0"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
     with pytest.raises(SystemExit) as info:
         cli.main(["not-a-command"])
     assert info.value.code == 2
@@ -283,6 +295,22 @@ MALFORMED = {
     "block-label-null": ("show", [{"states": ["None", "b"], "partitions": [[[None], ["b"]]]}]),
     "alpha-is-a-boolean": ("verify", [TWO_STATES, TWO_STATES,
                                       {"phi": {"a": "a", "b": "b"}, "alpha": [False]}]),
+    "alpha-wrong-length": ("verify", [TWO_STATES, TWO_STATES,
+                                      {"phi": {"a": "a", "b": "b"}, "alpha": [0, 0]}]),
+    "alpha-out-of-range": ("verify", [TWO_STATES, TWO_STATES,
+                                      {"phi": {"a": "a", "b": "b"}, "alpha": [1]}]),
+    "witness-not-an-object": ("verify", [TWO_STATES, TWO_STATES, ["a", "b"]]),
+    "phi-not-an-object": ("verify", [TWO_STATES, TWO_STATES, {"phi": ["a", "b"], "alpha": [0]}]),
+    "phi-not-total": ("verify", [TWO_STATES, TWO_STATES, {"phi": {"a": "a"}, "alpha": [0]}]),
+    "phi-unknown-state": ("verify", [TWO_STATES, TWO_STATES,
+                                     {"phi": {"a": "a", "b": "b", "c": "a"}, "alpha": [0]}]),
+    "device-not-an-object": ("show", [["a", "b"]]),
+    "device-name-not-a-string": ("show", [dict(TWO_STATES, name=5)]),
+    "partitions-not-a-list": ("show", [{"states": ["a", "b"], "partitions": 5}]),
+    "duplicate-state": ("show", [{"states": ["a", "a"], "partitions": [[["a"]]]}]),
+    "graph-not-an-object": ("gi", [["a", "b"], EDGE]),
+    "vertices-not-strings": ("gi", [{"vertices": [1, 2], "edges": []}, EDGE]),
+    "edges-not-a-list": ("gi", [{"vertices": ["a", "b"], "edges": 5}, EDGE]),
 }
 
 
@@ -367,13 +395,13 @@ def test_gen_graph_device_and_equiv_without_certificate(tmp_path, capsys):
 
 
 def test_equiv_without_certificate_when_the_signature_is_too_large(tmp_path, monkeypatch, capsys):
-    """2,000 two-block reads on 16 states: no signature is computed, and the
+    """3,000 two-block reads on 16 states: no signature is computed, and the
     answer is the plain reason with exit 1."""
     def fail(_):
         raise AssertionError("_pair_counts ran")
 
     monkeypatch.setattr(invariants, "_pair_counts", fail)
-    many = two_block_reads(random.Random(6), 2000)
+    many = two_block_reads(random.Random(6), 3000)
     (tmp_path / "many.json").write_text(json.dumps(many.to_dict()))
     (tmp_path / "l3.json").write_text(json.dumps(make_linear(3).to_dict()))
     assert cli.main(["equiv", str(tmp_path / "many.json"), str(tmp_path / "l3.json")]) == 1

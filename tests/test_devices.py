@@ -27,7 +27,7 @@ from asdkit.errors import (
 )
 from asdkit.partitions import GroundSet, Partition
 
-from corpus import random_device
+from corpus import random_device, two_block_reads
 
 
 def test_validate_examples():
@@ -142,6 +142,18 @@ def test_k_reads_cap_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(config, "MAX_KREAD_PARTITIONS", 13)
     with pytest.raises(LimitExceeded, match="exceeds 13 partitions"):
         k_reads(l3, 2)
+
+
+def test_k_reads_stops_at_the_cap_within_a_level(monkeypatch):
+    """300 two-block reads have more than 20,000 distinct pairwise meets; the
+    closure raises on the meet that passes the cap, not after all 90,000."""
+    dev = two_block_reads(random.Random(7), 300)
+    calls = []
+    meet = Partition.meet
+    monkeypatch.setattr(Partition, "meet", lambda p, other: calls.append(1) or meet(p, other))
+    with pytest.raises(LimitExceeded):
+        k_reads(dev, 2)
+    assert len(calls) < 300 * 300
 
 
 def test_product_perfect_iff_both_perfect():

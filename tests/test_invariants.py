@@ -164,7 +164,7 @@ def test_poly_signature_depth_three():
     assert poly_signature(other) != poly_signature(dm)
     assert poly_signature(other, depth=3) != poly_signature(dm, depth=3)
     # depth 3 extends each depth-2 profile with the deeper polynomials
-    assert len(poly_signature(dm, depth=3)[0]) > 3
+    assert len(poly_signature(dm, depth=3)[0][0]) > 3
 
 
 def _assert_pair_counts_exact(dev):
@@ -247,23 +247,28 @@ def test_pair_counts_peak_within_its_estimate(reads, blocks, states):
 
 
 def test_signature_peak_within_its_estimate():
-    """The pair counts' estimate plus 113 bytes per profile bounds the traced
-    peak of a fresh depth-2 signature from above, and stays within twice it."""
-    dev = two_block_reads(random.Random(5), 300)
-    tracemalloc.start()
-    try:
-        poly_signature(dev)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= _pair_counts_bytes(dev) + 113 * 300 ** 2 <= 2 * peak
+    """The pair counts' estimate plus 26 bytes per pair of reads bounds the
+    traced peak of a fresh depth-2 signature from above, and stays within
+    twice it, both where the pair-count pass is the peak (300 two-block
+    reads) and where the sort after it is (2,000 two-block reads, whose pair
+    counts are chunked)."""
+    for reads, sort_is_peak in ((300, False), (2000, True)):
+        dev = two_block_reads(random.Random(5), reads)
+        tracemalloc.start()
+        try:
+            poly_signature(dev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak > _pair_counts_bytes(dev)) == sort_is_peak
+        assert peak <= _pair_counts_bytes(dev) + 26 * reads ** 2 <= 2 * peak
 
 
 def test_signature_refused_beyond_its_memory_bound(monkeypatch):
-    """2,000 two-block reads on 16 states (a JSON file of a few hundred kB)
-    would take about 570 MiB; the signature refuses before any pair count."""
-    dev = two_block_reads(random.Random(6), 2000)
-    assert _pair_counts_bytes(dev) + 113 * 2000 ** 2 > MAX_PAIR_BYTES
+    """3,000 two-block reads on 16 states (a JSON file of a few hundred kB)
+    would take about 440 MiB; the signature refuses before any pair count."""
+    dev = two_block_reads(random.Random(6), 3000)
+    assert _pair_counts_bytes(dev) + 26 * 3000 ** 2 > MAX_PAIR_BYTES
 
     def fail(_):
         raise AssertionError("_pair_counts ran")

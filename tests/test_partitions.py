@@ -34,6 +34,9 @@ def test_canonicalize_examples():
         ["a"], ["b"], ["c"]]
     assert canonicalize(ABC, [["c", "a"], ["b"]]).blocks_as_labels() == [
         ["a", "c"], ["b"]]
+    # empty blocks are dropped and leave no gap in the labels
+    empty = canonicalize(ABC, [[], ["c", "a"], [], ["b"], []])
+    assert (empty.labels, empty.num_blocks) == ((0, 1, 0), 2)
     with pytest.raises(OverlapError):
         canonicalize(GroundSet("ab"), [["a"], ["a", "b"]])
     with pytest.raises(CoverageError):
