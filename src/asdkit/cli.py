@@ -47,6 +47,8 @@ def _load_graph(path: str) -> Graph:
 # each handler returns its JSON document and the process exit code
 
 def _cmd_gen(args) -> tuple[dict, int]:
+    if len(args.params) > (2 if args.kind == "lnk" else 1):
+        raise ValueError(f"too many parameters for gen {args.kind}: {' '.join(args.params)}")
     if args.kind == "cm":
         dev = make_perfect(int(args.params[0]))
     elif args.kind == "pn":

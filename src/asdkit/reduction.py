@@ -7,8 +7,9 @@ per source read, the target reads consistent with every assigned pair so far;
 at full depth that is exactly the reduction condition.  The numpy step of
 _search_reduction adds capacity and pair-count pruning, the latter on
 compatibility rows packed 64 to a uint64 word.  The bitmask step serves the
-fallback for oversized inputs and, with an extra "equal" check on the same
-masks, the exact-match equivalence search.
+fallback for oversized inputs and the exact-match equivalence search; it
+compares source labels directly and keeps a pairwise table for the target
+only.  In exact mode it checks each new state against one state per block.
 """
 
 from __future__ import annotations
@@ -44,19 +45,6 @@ def _sep_masks(parts, n: int) -> list[list[int]]:
                     row[s] |= bit
                     sep[s][t] |= bit
     return sep
-
-
-def _pair_lists(parts, n: int, exact: bool):
-    """For each state pair, the tuple of partition indices separating it.
-
-    With exact=True, also the tuples of indices keeping each pair together.
-    """
-    masks = _sep_masks(parts, n)
-    idx = range(len(parts))
-    seps = [[tuple(i for i in idx if (m >> i) & 1) for m in row] for row in masks]
-    if not exact:
-        return seps, None
-    return seps, [[tuple(i for i in idx if not (m >> i) & 1) for m in row] for row in masks]
 
 
 def _lowest_bit(mask: int) -> int:
@@ -124,31 +112,34 @@ def _mask_step(src: Device, dst: Device, exact: bool):
     A source read separating x from an assigned y keeps only target reads
     separating their images.  With exact=True a source read keeping x and y
     together also keeps only target reads keeping the images together, so at
-    full depth every source read equals a pulled-back target read.
+    full depth every source read equals a pulled-back target read.  Then
+    every surviving candidate already splits the images so far as the read
+    splits their sources, so x is checked only against the least state of
+    each block, which is where the block's label first occurs.
     """
     sep_dst = _sep_masks(dst.partitions, dst.num_states)
-    seps, eqs = _pair_lists(src.partitions, src.num_states, exact)
-    full = (1 << dst.num_partitions) - 1
+    labels = [pi.labels for pi in src.partitions]
+    checked = [[lab.index(b) for b in range(pi.num_blocks)] if exact else range(src.num_states)
+               for lab, pi in zip(labels, src.partitions)]
     img = [0] * src.num_states  # img[y] = phi(y) for every y below the current x
 
     def extend(cands, x, t):
         img[x] = t
-        new = cands.copy()
         sep_t = sep_dst[t]
-        for y in range(x):
-            row = sep_t[img[y]]
-            for i in seps[x][y]:
-                v = new[i] & row
-                if not v:
-                    return None
-                new[i] = v
-            if exact:
-                row = full & ~row
-                for i in eqs[x][y]:
-                    v = new[i] & row
-                    if not v:
-                        return None
-                    new[i] = v
+        new = []
+        for m, lab, ys in zip(cands, labels, checked):
+            bx = lab[x]
+            for y in ys:
+                if y >= x:
+                    break
+                row = sep_t[img[y]]
+                if lab[y] != bx:
+                    m &= row
+                elif exact:
+                    m &= ~row
+            if not m:
+                return None
+            new.append(m)
         return new
 
     return extend
@@ -172,38 +163,21 @@ def _search_reduction_bitmask(src: Device, dst: Device, budget: int) -> Reductio
 
 @functools.lru_cache(maxsize=65536)
 def _sizes_regroup(a_sizes: tuple[int, ...], b_sizes: tuple[int, ...]) -> bool:
-    """Can b_sizes be grouped so the group sums are exactly a_sizes?"""
-    targets = sorted(a_sizes, reverse=True)
+    """Can b_sizes be grouped so the group sums are exactly a_sizes?
+
+    Places the items largest first, each into a group with room for it,
+    trying one group per distinct room; the sorted rooms left key the memo.
+    """
     items = sorted(b_sizes, reverse=True)
-    nb = len(items)
-    full = (1 << nb) - 1
-    dead = set()
 
-    def fill(k: int, mask: int) -> bool:
-        if k == len(targets):
-            return mask == full
-        if (k, mask) in dead:
-            return False
+    @functools.cache
+    def place(k: int, rooms: tuple[int, ...]) -> bool:
+        return k == len(items) or any(
+            place(k + 1, tuple(sorted(rooms[:g] + (room - items[k],) + rooms[g + 1:])))
+            for g, room in enumerate(rooms)
+            if room >= items[k] and (g == 0 or room != rooms[g - 1]))
 
-        def pick(rem: int, start: int, m: int) -> bool:
-            if rem == 0:
-                return fill(k + 1, m)
-            for idx in range(start, nb):
-                if (m >> idx) & 1 or items[idx] > rem:
-                    continue
-                # among equal unused items always take the earliest
-                if idx and items[idx] == items[idx - 1] and not (m >> (idx - 1)) & 1 and idx - 1 >= start:
-                    continue
-                if pick(rem - items[idx], idx + 1, m | (1 << idx)):
-                    return True
-            return False
-
-        if pick(targets[k], 0, mask):
-            return True
-        dead.add((k, mask))
-        return False
-
-    return fill(0, 0)
+    return sum(a_sizes) == sum(b_sizes) and place(0, tuple(sorted(a_sizes)))
 
 
 def _words(bits: np.ndarray) -> np.ndarray:

@@ -251,6 +251,40 @@ def ac_fixpoint_oracle(alive, allow):
     return alive if all(any(row) for row in alive) else None
 
 
+def mask_step_oracle(src: Device, dst: Device, root, phi, exact: bool):
+    """Candidate masks once phi[x] is assigned for every x < len(phi), or None.
+
+    Target read j stays a candidate of source read i while it is in root[i]
+    and, for every pair of assigned states that read i separates, separates
+    their images; with exact, it must also keep together the images of every
+    pair that read i keeps together.  Checks all pairs on raw labels.
+    """
+    masks = []
+    for i, p in enumerate(src.partitions):
+        mask = 0
+        for j, q in enumerate(dst.partitions):
+            apart = [(p.labels[y] != p.labels[z], q.labels[phi[y]] != q.labels[phi[z]])
+                     for y, z in combinations(range(len(phi)), 2)]
+            if (root[i] >> j) & 1 and all(b if a else not (exact and b) for a, b in apart):
+                mask |= 1 << j
+        if not mask:
+            return None
+        masks.append(mask)
+    return masks
+
+
+def regroup_oracle(a_sizes, b_sizes) -> bool:
+    """Whether some assignment of the b_sizes items to len(a_sizes) groups
+    gives group k the sum a_sizes[k]; tries every assignment."""
+    for groups in product(range(len(a_sizes)), repeat=len(b_sizes)):
+        sums = [0] * len(a_sizes)
+        for k, size in zip(groups, b_sizes):
+            sums[k] += size
+        if sums == list(a_sizes):
+            return True
+    return False
+
+
 def clique_oracle(g: Graph, k: int) -> bool:
     if k == 0:
         return True

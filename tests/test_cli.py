@@ -269,6 +269,11 @@ def test_errors_exit_two(files, capsys, tmp_path):
                  ["gen", "pn", "0"],
                  ["gen", "lnk", "2", "3"],
                  ["gen", "graph-device", edgeless],
+                 # surplus parameters
+                 ["gen", "cm", "3", "99"],
+                 ["gen", "pn", "2", "2"],
+                 ["gen", "lnk", "2", "1", "7"],
+                 ["gen", "graph-device", files("k5.json"), files("k5.json")],
                  ["ip-demo", twins, twins, "--trials", "1", "--seed", "0"],
                  # both minimal, with 2 and 3 reads
                  ["ip-demo", files("d0.json"), files("l2.json"), "--trials", "1", "--seed", "0"]):

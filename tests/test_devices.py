@@ -21,6 +21,7 @@ from asdkit.devices import (
 from asdkit.errors import (
     EmptyPartitionSet,
     EmptyStateSpace,
+    GroundMismatch,
     LimitExceeded,
     PreconditionMismatch,
     UnknownLabel,
@@ -46,6 +47,8 @@ def test_validate_examples():
         validate({"states": [], "partitions": []})
     with pytest.raises(EmptyPartitionSet):
         validate({"states": ["a"], "partitions": []})
+    with pytest.raises(GroundMismatch):
+        Device(GroundSet("ab"), [Partition.identity(GroundSet("abc"))])
 
 
 def test_classify_named_devices():

@@ -43,6 +43,8 @@ def test_graph_validation():
     with pytest.raises(GraphError):
         Graph.from_dict({"vertices": list("abcd"),
                          "edges": [["a", "b"], ["b", "a"]]})
+    with pytest.raises(GraphError, match="sorted"):
+        Graph(("a", "b"), frozenset({("b", "a")}))
 
 
 def test_graph_serialization_round_trip():

@@ -7,6 +7,7 @@ import pytest
 from asdkit.errors import (
     ArityError,
     CoverageError,
+    EmptyStateSpace,
     GroundMismatch,
     OverlapError,
     UnknownLabel,
@@ -43,6 +44,10 @@ def test_canonicalize_examples():
         canonicalize(ABC, [["a", "b"]])
     with pytest.raises(UnknownLabel):
         canonicalize(ABC, [["a", "b"], ["z"]])
+    with pytest.raises(CoverageError):
+        Partition.from_raw(ABC, [0, 1])
+    with pytest.raises(EmptyStateSpace):
+        GroundSet([])
 
 
 def test_canonicalize_idempotent():
@@ -146,6 +151,8 @@ def test_pullback_examples():
     assert p.pullback(lambda x: x, G4) == p
     with pytest.raises(UnknownLabel):
         pi.pullback({"00": "7", "01": "0", "10": "0", "11": "0"}, bits)
+    with pytest.raises(UnknownLabel, match="'11'"):
+        pi.pullback({"00": "0", "01": "1", "10": "1"}, bits)
 
 
 def test_kernel_examples():
@@ -175,6 +182,8 @@ def test_eval_poly_errors():
         eval_poly(Meet(Var(1), Var(2)), [p])
     with pytest.raises(GroundMismatch):
         eval_poly(Meet(Var(1), Var(2)), [p, Partition.identity(ABC)])
+    with pytest.raises(TypeError):
+        eval_poly("x1", [p])
 
 
 def test_lattice_laws():

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from asdkit import factorization, reduction
 from asdkit.devices import (
@@ -20,7 +20,7 @@ from asdkit.devices import (
 )
 from asdkit.errors import PreconditionMismatch, SearchBudgetExceeded
 from asdkit.graphs import complete_graph, graph_device, make_graph
-from asdkit.minimization import is_state_minimal, minimize, state_quotient
+from asdkit.minimization import is_partition_minimal, is_state_minimal, minimize, state_quotient
 from asdkit.partitions import GroundSet, Partition
 from asdkit.reduction import (
     _search_bijection,
@@ -36,10 +36,13 @@ from asdkit.witnesses import Reduction, identity_reduction, verify_reduction
 from corpus import (
     ac_fixpoint_oracle,
     least_reduction_oracle,
+    mask_step_oracle,
     random_binary_device,
     random_device,
+    random_partition,
     random_small_pair,
     reducible_pair,
+    regroup_oracle,
     with_twins,
 )
 
@@ -285,6 +288,85 @@ def test_packed_ac_narrow_matches_the_plain_fixpoint(p, q, live, partners, seed)
     got = reduction._ac_narrow(alive, reduction._words(allow))
     assert (None if got is None else got.tolist()) == ac_fixpoint_oracle(alive.tolist(),
                                                                          allow.tolist())
+
+
+def _reads_shuffled(rng, dev):
+    """A minimal device with dev's counts and block sizes, each read's states
+    permuted on their own; None if 1,000 draws give no minimal one."""
+    n = dev.num_states
+    for _ in range(1000):
+        shuffled = [[p.labels[y] for y in rng.sample(range(n), n)] for p in dev.partitions]
+        other = Device(dev.states, [Partition.from_raw(dev.states, raw) for raw in shuffled])
+        if (other.num_partitions == dev.num_partitions and is_state_minimal(other)
+                and is_partition_minimal(other)):
+            return other
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_mask_step_matches_the_pairwise_oracle(exact, related, seed):
+    """Every child of the bitmask step equals the masks recomputed over all pairs.
+
+    Along a random injective prefix, each unused target is tried at each
+    depth and its child, None included, is compared with the oracle; the
+    prefix then follows a surviving target, the relabelling's image when it
+    survives.  Exact mode runs on minimal devices against a relabelled copy
+    or an unrelated minimal device with the same counts and block sizes, as
+    the bijection search does; the other mode on random pairs.
+    """
+    rng = random.Random(seed)
+    guide = None
+    if exact:
+        ground = GroundSet(f"s{i}" for i in range(rng.randint(4, 8)))
+        src = minimize(Device(ground, [random_partition(rng, ground)
+                                       for _ in range(rng.randint(2, 4))])).device
+        if related:
+            dst, (fwd, _) = random_equivalent(src, seed)
+            guide = fwd.phi
+        else:
+            dst = _reads_shuffled(rng, src)
+            assume(dst is not None)
+    else:
+        src, dst = random_device(rng, 6, 4), random_device(rng, 8, 4)
+    full = (1 << dst.num_partitions) - 1
+    root = [full if related else rng.randrange(1, full + 1) for _ in src.partitions]
+    extend = reduction._mask_step(src, dst, exact)
+    cands, phi = root, []
+    for x in range(src.num_states):
+        unused = [t for t in range(dst.num_states) if t not in phi]
+        alive = []
+        for t in unused:
+            child = extend(cands, x, t)
+            assert child == mask_step_oracle(src, dst, root, phi + [t], exact), (x, t)
+            if child is not None:
+                alive.append(t)
+        if not alive:
+            break
+        t = guide[x] if guide and guide[x] in alive else rng.choice(alive)
+        cands = extend(cands, x, t)  # the step keeps the last target tried as x's image
+        phi.append(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4), st.data())
+def test_sizes_regroup_matches_every_assignment(a_sizes, data):
+    """_sizes_regroup agrees with trying every assignment of items to groups.
+
+    The items split the same total at random cuts, so that the grouping
+    decides, or the split loses its last item or gains one.
+    """
+    total = sum(a_sizes)
+    cuts = sorted(data.draw(st.sets(st.integers(1, total - 1), max_size=5))) if total > 1 else []
+    items = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    change = data.draw(st.sampled_from(["same", "same", "short", "surplus"]))
+    if change == "short" and len(items) > 1:
+        items.pop()
+    elif change == "surplus":
+        items.append(data.draw(st.integers(1, 3)))
+    items = data.draw(st.permutations(items))
+    assert reduction._sizes_regroup(tuple(a_sizes), tuple(items)) == \
+        regroup_oracle(a_sizes, items)
 
 
 def test_int16_owners_never_exceed_8867_blocks(monkeypatch):
