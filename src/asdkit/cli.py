@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring as _encode_str
 
 from .devices import Device, direct_product, k_reads, make_linear, make_perfect, make_projective
 from .errors import AsdError
@@ -22,8 +23,30 @@ from .reduction import decide_equivalence, find_reduction, ip_nonequiv_sim
 from .witnesses import reduction_from_dict, reduction_to_dict, verify_reduction
 
 
+def _indented(obj, indent: str = "") -> str:
+    """json.dumps(obj, ensure_ascii=False, indent=2) for documents with string keys.
+
+    json's indenting encoder runs in pure Python; this writes the same bytes,
+    joining a list of strings in one pass over the C string encoder.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:  # other scalars, empty containers
+        return json.dumps(obj, ensure_ascii=False)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        items = (f"{_encode_str(k)}: {_indented(v, inner)}" for k, v in obj.items())
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    try:  # the string encoder raises TypeError on a non-string
+        items = sep.join(map(_encode_str, obj))
+    except TypeError:
+        items = sep.join(_indented(v, inner) for v in obj)
+    return "[\n" + inner + items + "\n" + indent + "]"
+
+
 def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    text = _indented(obj) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

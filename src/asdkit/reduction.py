@@ -9,7 +9,9 @@ _search_reduction adds capacity and pair-count pruning, the latter on
 compatibility rows packed 64 to a uint64 word.  The bitmask step serves the
 fallback for oversized inputs and the exact-match equivalence search; it
 compares source labels directly and keeps a pairwise table for the target
-only.  In exact mode it checks each new state against one state per block.
+only.  In exact mode it checks each new state against one state per block,
+and the equivalence search drops nodes where the read map can no longer be
+one-to-one.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,18 +35,19 @@ from .witnesses import Reduction, compose, verify_reduction
 
 
 def _sep_masks(parts, n: int) -> list[list[int]]:
-    """sep[t][s] = bitmask of partition indices that separate states t and s."""
+    """sep[t][s] = bitmask of partition indices that separate states t and s.
+
+    Bits are set 64 reads to a uint64 word over all (t, s) at once; more
+    than 64 reads join the words into Python ints.
+    """
+    labels = np.array([p.labels for p in parts], dtype=np.intp).reshape(len(parts), n)
     sep = [[0] * n for _ in range(n)]
-    for j, p in enumerate(parts):
-        lab = p.labels
-        bit = 1 << j
-        for t in range(1, n):
-            lt = lab[t]
-            row = sep[t]
-            for s in range(t):
-                if lt != lab[s]:
-                    row[s] |= bit
-                    sep[s][t] |= bit
+    for k in range(0, len(parts), 64):
+        word = np.zeros((n, n), dtype=np.uint64)
+        for j, lab in enumerate(labels[k:k + 64]):
+            word |= (lab[:, None] != lab[None, :]).astype(np.uint64) << np.uint64(j)
+        rows = word.tolist()
+        sep = rows if k == 0 else [[a | b << k for a, b in zip(ra, rb)] for ra, rb in zip(sep, rows)]
     return sep
 
 
@@ -394,7 +398,13 @@ def _search_bijection(src: Device, dst: Device, budget: int):
     """Bijection phi with every source read equal to a pulled-back target read.
 
     Returns (phi, alpha) index tuples or None.  Assumes equal state and
-    partition counts, both devices minimal.
+    partition counts, both devices minimal.  Minimal devices have distinct
+    reads and pulling back along a bijection is one-to-one, so alpha is a
+    bijection too: at every leaf the candidate masks are distinct singletons.
+    Masks only shrink with depth, so a node where some mask is held by more
+    source reads than it has bits (Hall's condition, the cheapest case of
+    Regin's all-different filter) has no leaf below it and is dropped; the
+    first leaf, and so the witness, stays the lexicographically least.
     """
     nd = src.num_states
     ne = dst.num_states
@@ -424,8 +434,17 @@ def _search_bijection(src: Device, dst: Device, budget: int):
         with_prof[prof] = with_prof.get(prof, 0) | 1 << t
     allowed = [with_prof[prof] for prof in prof_src]
 
+    step = _mask_step(src, dst, True)
+
+    def extend(cands, x, t):
+        new = step(cands, x, t)
+        if (new is not None and len(set(new)) < len(new)
+                and any(k > m.bit_count() for m, k in Counter(new).items())):
+            return None
+        return new
+
     init = _read_masks(ms_src, ms_dst, operator.eq)
-    hit = _backtrack(nd, ne, init, _mask_step(src, dst, True), budget, allowed)
+    hit = _backtrack(nd, ne, init, extend, budget, allowed)
     if hit is None:
         return None
     phi, final = hit

@@ -273,6 +273,31 @@ def mask_step_oracle(src: Device, dst: Device, root, phi, exact: bool):
     return masks
 
 
+def least_bijection_oracle(src: Device, dst: Device):
+    """First bijection phi in lexicographic order under which every source
+    read equals a pulled-back target read, with alpha naming the first such
+    target read for each source read; None if no phi does.
+
+    Tries every permutation, so it is meant for up to 7 states.  Reads are
+    compared as raw labels renamed by the first state of each block.
+    """
+    def shape(labels):
+        first: dict = {}
+        return tuple(first.setdefault(b, x) for x, b in enumerate(labels))
+
+    if src.num_states != dst.num_states:
+        return None
+    want = [shape(p.labels) for p in src.partitions]
+    for phi in permutations(range(dst.num_states)):
+        pulled: dict = {}
+        for j, q in enumerate(dst.partitions):
+            pulled.setdefault(shape([q.labels[t] for t in phi]), j)
+        alpha = tuple(pulled.get(w) for w in want)
+        if None not in alpha:
+            return phi, alpha
+    return None
+
+
 def regroup_oracle(a_sizes, b_sizes) -> bool:
     """Whether some assignment of the b_sizes items to len(a_sizes) groups
     gives group k the sum a_sizes[k]; tries every assignment."""

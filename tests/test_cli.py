@@ -1,6 +1,8 @@
 """End-to-end command tests: exit codes, golden output, witness round trips."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asdkit import cli, invariants, minimization
 from asdkit.devices import Device, direct_product, make_linear
@@ -152,6 +155,31 @@ def test_reduce_no_phi(files, capsys):
     code = cli.main(["reduce", files("l3xl3.json"), files("l2cubed.json")])
     assert code == 1
     assert json.loads(capsys.readouterr().out) == {"reason": "no φ exists"}
+
+
+def test_reduce_no_phi_between_equal_sized_products(files, capsys):
+    """L4xL2 and L3xL3 both have 64 states and pass the prescreen; their
+    certified factorizations settle the no at once."""
+    code = cli.main(["reduce", files("l4xl2.json"), files("l3xl3.json")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {"reason": "no φ exists"}
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(st.text(), max_size=4)
+                  | st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_emit_writes_the_bytes_of_json_dumps(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc, None)
+    assert out.getvalue() == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
 def test_reduce_witness_verifies(files, capsys, tmp_path):

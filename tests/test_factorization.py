@@ -189,6 +189,14 @@ def test_factor_binary_splits_off_perfect_part():
     assert decide_equivalence(big, L2) is not None
 
 
+def test_factor_binary_certifies_l4xl2():
+    """The certifying equivalence of a 64-state product decides."""
+    factors = sorted(factor_binary(direct_product(L4, L2)), key=lambda f: f.num_states)
+    assert [f.num_states for f in factors] == [4, 16]
+    assert decide_equivalence(factors[0], L2) is not None
+    assert decide_equivalence(factors[1], L4) is not None
+
+
 def test_factor_binary_of_one_state_device_is_empty():
     assert factor_binary(make_perfect(1)) == []
 

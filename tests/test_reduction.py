@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from asdkit.witnesses import Reduction, identity_reduction, verify_reduction
 
 from corpus import (
     ac_fixpoint_oracle,
+    least_bijection_oracle,
     least_reduction_oracle,
     mask_step_oracle,
     random_binary_device,
@@ -166,12 +168,12 @@ NODE_PINS = {
         lambda b: _search_reduction_bitmask(K4, OCTAHEDRON, b), 942, False),
     "bitmask random pair 11": (
         lambda b: _search_reduction_bitmask(*_random_pair(11), b), 4088, False),
-    "bijection P4 relabelled": (_relabel_search(make_projective(4), 0), 968, True),
-    "bijection L2xL2 relabelled": (_relabel_search(direct_product(L2, L2), 0), 3112, True),
+    "bijection P4 relabelled": (_relabel_search(make_projective(4), 0), 136, True),
+    "bijection L2xL2 relabelled": (_relabel_search(direct_product(L2, L2), 0), 136, True),
     # states with unequal size profiles, so the profile filter prunes here
     "bijection random device 6 relabelled": (
         _relabel_search(random_device(random.Random(6), 8, 5), 6), 52, True),
-    "bijection C6 vs two triangles": (_min_pair_search(C6, TWO_TRIANGLES), 870, False),
+    "bijection C6 vs two triangles": (_min_pair_search(C6, TWO_TRIANGLES), 114, False),
 }
 
 
@@ -290,6 +292,19 @@ def test_packed_ac_narrow_matches_the_plain_fixpoint(p, q, live, partners, seed)
                                                                          allow.tolist())
 
 
+@pytest.mark.parametrize("q", [63, 64, 65, 200])
+def test_sep_masks_match_the_raw_label_oracle(q):
+    """Reads packed 64 to a word, with a partial word and more than two
+    words, give every (t, s) the bitmask of reads whose raw labels differ."""
+    rng = random.Random(q)
+    n = 12
+    ground = GroundSet(f"s{i}" for i in range(n))
+    raws = [[rng.randrange(rng.randint(1, n)) for _ in range(n)] for _ in range(q)]
+    expect = [[sum(1 << j for j, raw in enumerate(raws) if raw[t] != raw[s]) for s in range(n)]
+              for t in range(n)]
+    assert reduction._sep_masks([Partition.from_raw(ground, raw) for raw in raws], n) == expect
+
+
 def _reads_shuffled(rng, dev):
     """A minimal device with dev's counts and block sizes, each read's states
     permuted on their own; None if 1,000 draws give no minimal one."""
@@ -346,6 +361,24 @@ def test_mask_step_matches_the_pairwise_oracle(exact, related, seed):
         t = guide[x] if guide and guide[x] in alive else rng.choice(alive)
         cands = extend(cands, x, t)  # the step keeps the last target tried as x's image
         phi.append(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_search_bijection_returns_the_least_bijection(related, seed):
+    """_search_bijection returns the enumeration oracle's least (phi, alpha), or None.
+
+    Minimal devices of up to 7 states meet a relabelled copy, where the least
+    bijection need not be the relabelling, or an unrelated minimal device with
+    the same counts and block sizes, so the search runs on both verdicts.
+    """
+    rng = random.Random(seed)
+    ground = GroundSet(f"s{i}" for i in range(rng.randint(3, 7)))
+    src = minimize(Device(ground, [random_partition(rng, ground)
+                                   for _ in range(rng.randint(2, 4))])).device
+    dst = random_equivalent(src, seed)[0] if related else _reads_shuffled(rng, src)
+    assume(dst is not None)
+    assert _search_bijection(src, dst, 10 ** 6) == least_bijection_oracle(src, dst)
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,6 +454,16 @@ def test_structural_refutation_only_refutes(monkeypatch):
     assert not reduction._structural_refute(a, b, 10 ** 6)
     assert find_reduction(a, b) is None
     assert find_reduction(a, b, structural=False) is None
+
+
+def test_structural_route_refutes_l4xl2_into_l3xl3(monkeypatch):
+    """Both 64-state products factor with certified equivalences, and no
+    index partition maps L4, L2 onto L3, L3, so no search is needed."""
+    def refuse(*args):
+        pytest.fail("handed to the search")
+
+    monkeypatch.setattr(reduction, "_search_reduction", refuse)
+    assert find_reduction(direct_product(L4, L2), direct_product(L3, L3)) is None
 
 
 def test_product_composition_of_witnesses():
@@ -564,6 +607,20 @@ def test_decide_equivalence_with_relabeling():
         assert verify_reduction(other, dm, bwd)
         wit = decide_equivalence(dm, other)
         assert wit is not None
+
+
+@pytest.mark.parametrize("left, right, seed, budget", [
+    (L3, L3, 1, 1_000_000), (L3, L3, 2, 1_000_000), (L3, L3, 3, 1_000_000),
+    (L2, L3, 1, 200_000), (L2, L3, 2, 200_000)])
+def test_product_relabels_decide(left, right, seed, budget):
+    """Relabelled products, where every state has the same size profile, decide within a second."""
+    dm = minimize(direct_product(left, right)).device
+    other, _ = random_equivalent(dm, seed)
+    start = time.perf_counter()
+    wit = decide_equivalence(dm, other, budget=budget)
+    assert time.perf_counter() - start < 1.0
+    assert wit is not None
+    assert verify_reduction(dm, other, wit[0]) and verify_reduction(other, dm, wit[1])
 
 
 def test_random_equivalent_is_deterministic():
