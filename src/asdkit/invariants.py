@@ -222,6 +222,18 @@ def _signature_polys(depth: int):
     return [Var(1)] + [p for d in range(2, depth + 1) for p in levels[d]]
 
 
+def _check_signature_bytes(dev: Device) -> None:
+    """Raise LimitExceeded when dev's signature would exceed MAX_PAIR_BYTES.
+
+    The estimate is the pair counts plus the depth-2 sort's int64 block-count
+    column, lexsort order and sorted column and its two bool masks: 26 bytes
+    per pair of reads.
+    """
+    q = dev.num_partitions
+    if _pair_counts_bytes(dev) + 26 * q * q > MAX_PAIR_BYTES:
+        raise LimitExceeded(f"signature of {q} reads would take over {MAX_PAIR_BYTES >> 20} MiB")
+
+
 @once_per_device
 def poly_signature(dev: Device, depth: int = 2) -> tuple:
     """Multiset of per-pair block-count profiles; equal on equivalent minimal devices.
@@ -230,16 +242,13 @@ def poly_signature(dev: Device, depth: int = 2) -> tuple:
     (|pi|, |pi meet rho|, |pi join rho|).  Deeper profiles append the block
     counts of every structurally new polynomial up to the requested depth.
     The multiset is a sorted tuple of (profile, count) pairs, one per distinct
-    profile.  Raises LimitExceeded when the pair counts plus the depth-2
-    sort's int64 block-count column, lexsort order and sorted column and its
-    two bool masks (26 bytes per pair of reads) would exceed MAX_PAIR_BYTES.
+    profile.  Raises LimitExceeded as _check_signature_bytes does.
     """
     if depth < 2 or depth > config.MAX_SIGNATURE_DEPTH:
         raise LimitExceeded(f"signature depth {depth} outside 2..{config.MAX_SIGNATURE_DEPTH}")
+    _check_signature_bytes(dev)
     parts = dev.partitions
     q = len(parts)
-    if _pair_counts_bytes(dev) + 26 * q * q > MAX_PAIR_BYTES:
-        raise LimitExceeded(f"signature of {q} reads would take over {MAX_PAIR_BYTES >> 20} MiB")
     if depth == 2:
         meets, joins = _pair_counts(dev)
         nb = np.array([p.num_blocks for p in parts], dtype=np.int64)
@@ -265,13 +274,30 @@ def _signature_certificate(a: Device, b: Device) -> dict | None:
 
     Computed on the minimized devices; a difference certifies
     non-equivalence independently of any search.  None also when a
-    signature is too large to compute.
+    signature is too large to compute, so the size check comes first.
+
+    Most answers are read off the block-count histograms.  In the profile
+    (|pi|, |pi meet rho|, |pi join rho|), |pi meet rho| >= |pi| with equality
+    iff pi <= rho.  A minimized device's reads form an antichain, so
+    equality means rho = pi, and then |pi join rho| = |pi| as well.  Hence,
+    with k the fewest blocks of any read on either side, no profile sorts
+    below (k, k, k), and (k, k, k) counts the reads with k blocks.  When
+    those counts differ it is the certificate; only otherwise are the count
+    tables built and compared.
     """
     try:
-        sa = Counter(dict(poly_signature(minimize(a).device)))
-        sb = Counter(dict(poly_signature(minimize(b).device)))
+        ma, mb = minimize(a).device, minimize(b).device
+        _check_signature_bytes(ma)
+        _check_signature_bytes(mb)
     except LimitExceeded:
         return None
+    ha = Counter(p.num_blocks for p in ma.partitions)
+    hb = Counter(p.num_blocks for p in mb.partitions)
+    k = min(min(ha), min(hb))
+    if ha[k] != hb[k]:
+        sa, sb = Counter({(k, k, k): ha[k]}), Counter({(k, k, k): hb[k]})
+    else:
+        sa, sb = Counter(dict(poly_signature(ma))), Counter(dict(poly_signature(mb)))
     for profile in sorted(set(sa) | set(sb)):
         if sa[profile] != sb[profile]:
             return {

@@ -115,14 +115,29 @@ class Partition:
         return cls(ground, labels, k)
 
     @classmethod
-    def from_blocks(cls, ground: GroundSet, blocks: Iterable[Iterable[str]]) -> "Partition":
-        """Canonicalize a block list; validates coverage, overlap and labels."""
+    def from_blocks(cls, ground: GroundSet, blocks: Iterable[Sequence[str]]) -> "Partition":
+        """Canonicalize a block list; validates coverage, overlap and labels.
+
+        The first bad label in document order is the one reported.
+        """
+        def overlap(lab: str) -> OverlapError:
+            return OverlapError(f"label {lab!r} appears in more than one block")
+
+        index = ground._index
         assigned = [-1] * len(ground)
         for bid, block in enumerate(blocks):  # _dense renumbers: empty blocks leave no gap
-            for lab in block:
-                i = ground.index_of(lab)
+            try:
+                ids = list(map(index.__getitem__, block))
+            except KeyError:  # label by label, since an overlap may come before the unknown label
+                ids = []
+                for lab in block:
+                    i = ground.index_of(lab)
+                    if assigned[i] != -1:
+                        raise overlap(lab) from None
+                    assigned[i] = bid
+            for i in ids:
                 if assigned[i] != -1:
-                    raise OverlapError(f"label {lab!r} appears in more than one block")
+                    raise overlap(ground.elements[i])
                 assigned[i] = bid
         for i, b in enumerate(assigned):
             if b == -1:

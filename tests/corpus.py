@@ -8,11 +8,12 @@ something that cannot share its bugs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations, permutations, product
 
 from asdkit.devices import Device, classify
 from asdkit.graphs import Graph, make_graph
-from asdkit.minimization import is_state_minimal
+from asdkit.minimization import is_state_minimal, minimize
 from asdkit.partitions import GroundSet, Partition
 
 
@@ -186,6 +187,23 @@ def refines_oracle(p: Partition, q: Partition) -> bool:
         if got != q.labels[x]:
             return False
     return True
+
+
+def signature_certificate_oracle(a: Device, b: Device):
+    """Least (|p|, |p meet r|, |p join r|) whose count over the ordered read
+    pairs differs between the minimized devices, in the certificate's form,
+    or None when every count agrees.  Counts every pair with the oracles above."""
+    def counts(dev):
+        parts = minimize(dev).device.partitions
+        return Counter((p.num_blocks, len(set(meet_oracle(p, r))), len(set(join_oracle(p, r))))
+                       for p in parts for r in parts)
+
+    ca, cb = counts(a), counts(b)
+    diff = [prof for prof in set(ca) | set(cb) if ca[prof] != cb[prof]]
+    if not diff:
+        return None
+    least = min(diff)
+    return {"depth": 2, "profile": list(least), "left_count": ca[least], "right_count": cb[least]}
 
 
 def least_reduction_oracle(src: Device, dst: Device):

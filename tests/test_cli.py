@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asdkit import cli, invariants, minimization
-from asdkit.devices import Device, direct_product, make_linear
+from asdkit.devices import Device, direct_product, make_linear, product_of
 from asdkit.graphs import graph_device, make_graph
 from asdkit.reduction import find_reduction
 from asdkit.witnesses import reduction_to_dict
@@ -439,6 +439,21 @@ def test_equiv_without_certificate_when_the_signature_is_too_large(tmp_path, mon
     (tmp_path / "l3.json").write_text(json.dumps(make_linear(3).to_dict()))
     assert cli.main(["equiv", str(tmp_path / "many.json"), str(tmp_path / "l3.json")]) == 1
     assert capsys.readouterr() == ('{\n  "reason": "not equivalent"\n}\n', "")
+
+
+def test_equiv_certificate_of_1024_state_products_without_pair_counts(tmp_path, monkeypatch, capsys):
+    """L4 x L3 x L3 against L4 x L4 x L2: the certificate is read off the
+    minimized read histograms, 735 reads of 8 blocks against 675."""
+    def fail(_):
+        raise AssertionError("_pair_counts ran")
+
+    monkeypatch.setattr(invariants, "_pair_counts", fail)
+    l2, l3, l4 = make_linear(2), make_linear(3), make_linear(4)
+    for name, factors in (("a", (l4, l3, l3)), ("b", (l4, l4, l2))):
+        (tmp_path / f"{name}.json").write_text(json.dumps(product_of(factors).to_dict()))
+    assert cli.main(["equiv", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
+    assert json.loads(capsys.readouterr().out) == {"reason": "signature", "certificate": {
+        "depth": 2, "profile": [8, 8, 8], "left_count": 735, "right_count": 675}}
 
 
 def _pin(text: str) -> str:

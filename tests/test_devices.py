@@ -213,6 +213,17 @@ def test_serialization_round_trip():
     assert d1.to_dict() == d2.to_dict()
 
 
+def test_device_hash_and_repr():
+    ground = GroundSet("abc")
+    reads = [Partition.from_blocks(ground, [["a"], ["b", "c"]]),
+             Partition.from_blocks(ground, [["a", "b"], ["c"]])]
+    d1 = Device(ground, reads, "pair")
+    d2 = Device(ground, reads[::-1])
+    assert d1 == d2 and hash(d1) == hash(d2) and len({d1, d2}) == 1
+    assert repr(d1) == "<pair: 3 states, 2 partitions>"
+    assert repr(d2) == "<device: 3 states, 2 partitions>"
+
+
 def test_product_of_flattens_left_associatively():
     c2 = make_perfect(2)
     triple = product_of([c2, c2, c2])

@@ -21,6 +21,7 @@ from asdkit.invariants import (
     MAX_PAIR_BYTES,
     _pair_counts,
     _pair_counts_bytes,
+    _signature_certificate,
     capacity,
     invariant_report,
     perfectness_index,
@@ -277,6 +278,34 @@ def test_signature_refused_beyond_its_memory_bound(monkeypatch):
     for depth in (2, 3):
         with pytest.raises(LimitExceeded):
             poly_signature(dev, depth=depth)
+
+
+def test_certificate_read_off_the_histograms_without_pair_counts(monkeypatch):
+    """Every minimized read of L4 x L3 and of L3 x L3 has 4 blocks: 105
+    against 49 reads decide the certificate, and no pair count is built.  The
+    size check still comes first, so an oversized side gives no certificate."""
+    def fail(_):
+        raise AssertionError("_pair_counts ran")
+
+    monkeypatch.setattr(invariants, "_pair_counts", fail)
+    assert _signature_certificate(direct_product(L4, L3), direct_product(L3, L3)) == {
+        "depth": 2, "profile": [4, 4, 4], "left_count": 105, "right_count": 49}
+    assert _signature_certificate(two_block_reads(random.Random(6), 3000), L3) is None
+
+
+def test_certificate_past_equal_histograms():
+    """One 2-block read on each minimized side: (2, 2, 2) counts agree, and the
+    least differing profile comes from the count tables."""
+    from asdkit.devices import Device
+    from asdkit.partitions import GroundSet, Partition
+    g5 = GroundSet(f"s{i}" for i in range(5))
+    a = Device(g5, [Partition.from_blocks(g5, [["s0", "s3"], ["s1", "s2", "s4"]])])
+    g4 = GroundSet(f"s{i}" for i in range(4))
+    b = Device(g4, [Partition.from_blocks(g4, blocks) for blocks in (
+        [["s0", "s1", "s2", "s3"]], [["s0", "s1", "s3"], ["s2"]],
+        [["s0"], ["s1", "s2", "s3"]], [["s0"], ["s1", "s2"], ["s3"]])])
+    assert _signature_certificate(a, b) == {
+        "depth": 2, "profile": [2, 4, 1], "left_count": 0, "right_count": 1}
 
 
 def test_memo_shares_results_and_skips_errors():

@@ -50,6 +50,30 @@ def test_canonicalize_examples():
         GroundSet([])
 
 
+@pytest.mark.parametrize("blocks, error, message", [
+    ([["a", "z"], ["b", "c"]], UnknownLabel, "label 'z' not in ground set"),
+    ([["a", "b"], ["c", "b"]], OverlapError, "label 'b' appears in more than one block"),
+    ([["a", "b", "a"], ["c"]], OverlapError, "label 'a' appears in more than one block"),
+    ([["a", "c"]], CoverageError, "label 'b' missing from every block"),
+    # the first bad label in document order is named, whichever kind it is
+    ([["a", "b", "a", "z"], ["c"]], OverlapError, "label 'a' appears in more than one block"),
+    ([["a", "b"], ["b", "z"], ["c"]], OverlapError, "label 'b' appears in more than one block"),
+    ([["a", "z", "a"], ["b", "c"]], UnknownLabel, "label 'z' not in ground set"),
+    ([["a", "b"], ["a"], ["z"]], OverlapError, "label 'a' appears in more than one block"),
+])
+def test_from_blocks_names_the_first_bad_label(blocks, error, message):
+    with pytest.raises(error) as raised:
+        Partition.from_blocks(ABC, blocks)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_ground_set_protocols_and_reprs():
+    assert "b" in ABC and "z" not in ABC
+    assert list(ABC) == ["a", "b", "c"]
+    assert repr(ABC) == "GroundSet(['a', 'b', 'c'])"
+    assert repr(Partition.from_blocks(ABC, [["b"], ["c", "a"]])) == "Partition[a,c|b]"
+
+
 def test_canonicalize_idempotent():
     rng = random.Random(11)
     for _ in range(200):

@@ -2,7 +2,9 @@
 perfectness index, pair counts and polynomial signature; the index is also
 checked against an exhaustive oracle and the product rule, and the meet, the
 depth-2 signature and the minimized reads against the lattice operations.
-Reduction and equivalence verdicts are checked to ignore the state order."""
+The signature certificate is checked against a pair-by-pair oracle, and the
+lattice laws against the meet, join and refinement oracles.  Reduction and
+equivalence verdicts are checked to ignore the state order."""
 
 import functools
 from collections import Counter
@@ -10,13 +12,24 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from asdkit.devices import Device, direct_product
-from asdkit.invariants import _pair_counts, perfectness_index, poly_signature
+from asdkit.invariants import (
+    _pair_counts,
+    _signature_certificate,
+    perfectness_index,
+    poly_signature,
+)
 from asdkit.minimization import minimize
 from asdkit.partitions import GroundSet, Partition
 from asdkit.reduction import decide_equivalence, find_reduction, random_equivalent
 from asdkit.witnesses import verify_reduction
 
-from corpus import perfectness_oracle
+from corpus import (
+    join_oracle,
+    meet_oracle,
+    perfectness_oracle,
+    refines_oracle,
+    signature_certificate_oracle,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -96,6 +109,70 @@ def test_minimized_reads_are_canonical(dev):
     for p in m.partitions:
         c = Partition.from_raw(m.states, p.labels)
         assert (c.labels, c.num_blocks) == (p.labels, p.num_blocks)
+
+
+@st.composite
+def equal_histogram_pairs(draw) -> tuple[Device, Device]:
+    """Two devices whose reads all have the same k blocks, q of them a side
+    unless some coincide.  Reads with equal block counts form an antichain,
+    and merging twin states keeps every read's block count, so whenever both
+    sides keep q distinct reads their minimized histograms agree and the
+    certificate needs the full count tables."""
+    k, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def side() -> Device:
+        n = draw(st.integers(k, 6))
+        ground = GroundSet(f"s{i}" for i in range(n))
+        reads = []
+        for _ in range(q):
+            row = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=n - k,
+                                                 max_size=n - k))
+            perm = draw(st.permutations(range(n)))
+            reads.append(Partition.from_raw(ground, [row[x] for x in perm]))
+        return Device(ground, reads)
+
+    return side(), side()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(devices(), devices()), equal_histogram_pairs()))
+def test_signature_certificate_matches_the_oracle(pair):
+    assert _signature_certificate(*pair) == signature_certificate_oracle(*pair)
+
+
+@st.composite
+def partition_triples(draw) -> tuple[Partition, Partition, Partition]:
+    """Three partitions of one ground set of up to 7 states."""
+    n = draw(st.integers(1, 7))
+    ground = GroundSet(f"s{i}" for i in range(n))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                         min_size=3, max_size=3))
+    return tuple(Partition.from_raw(ground, row) for row in rows)
+
+
+def _meet(p: Partition, q: Partition) -> Partition:
+    m = p.meet(q)
+    assert m.labels == meet_oracle(p, q)
+    return m
+
+
+def _join(p: Partition, q: Partition) -> Partition:
+    j = p.join(q)
+    assert j.labels == join_oracle(p, q)
+    return j
+
+
+@SETTINGS
+@given(partition_triples())
+def test_lattice_laws_hold_on_oracle_checked_operations(triple):
+    p, q, r = triple
+    for op in (_meet, _join):
+        assert op(p, q) == op(q, p)
+        assert op(op(p, q), r) == op(p, op(q, r))
+        assert op(p, p) == p
+    assert _meet(p, _join(p, q)) == p
+    assert _join(p, _meet(p, q)) == p
+    assert p.refines(q) == refines_oracle(p, q) == (_meet(p, q) == p) == (_join(p, q) == q)
 
 
 def _permuted(dev: Device, perm) -> Device:
