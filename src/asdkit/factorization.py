@@ -27,7 +27,7 @@ from .errors import (
     NonUniqueTau,
     PreconditionMismatch,
 )
-from .minimization import is_state_minimal, minimize
+from .minimization import is_state_minimal, minimize, state_quotient
 from .partitions import GroundSet, Partition
 from .reduction import decide_equivalence, find_reduction
 from .witnesses import Reduction, verify_reduction
@@ -293,17 +293,10 @@ def _extract_candidate_factors(dm: Device) -> list[Device] | None:
                     return None
                 groups[own[0]].append(theta)
             for members in groups.values():
-                mu = functools.reduce(Partition.meet, members)
-                k = mu.num_blocks
-                rep: dict[int, int] = {}  # block -> its first state
-                for x, lab in enumerate(mu.labels):
-                    rep.setdefault(lab, x)
-                fg = GroundSet(f"b{t}" for t in range(k))
-                fparts = [
-                    Partition.from_raw(fg, (theta.labels[rep[t]] for t in range(k)))
-                    for theta in members
-                ]
-                factors.append(Device(fg, fparts))
+                quot, _ = state_quotient(Device(core.states, members))  # its meet is mu
+                fg = GroundSet(f"b{t}" for t in range(quot.num_states))
+                factors.append(Device(fg, [Partition(fg, theta.labels, theta.num_blocks)
+                                           for theta in quot.partitions]))
             factors.sort(key=_device_key)
     if math.prod(f.num_states for f in factors) * 2**ell != dm.num_states:
         return None

@@ -6,12 +6,12 @@ is lexicographically least.  Each search adds one narrowing step that keeps,
 per source read, the target reads consistent with every assigned pair so far;
 at full depth that is exactly the reduction condition.  The numpy step of
 _search_reduction adds capacity and pair-count pruning, the latter on
-compatibility rows packed 64 to a uint64 word.  The bitmask step serves the
-fallback for oversized inputs and the exact-match equivalence search; it
-compares source labels directly and keeps a pairwise table for the target
-only.  In exact mode it checks each new state against one state per block,
-and the equivalence search drops nodes where the read map can no longer be
-one-to-one.
+compatibility rows packed 64 to a uint64 word, and keeps one ownership state
+per search, undone on backtrack.  The bitmask step serves the fallback for
+oversized inputs and the exact-match equivalence search; it compares source
+labels directly and keeps a pairwise table for the target only.  In exact
+mode it checks each new state against one state per block, and the
+equivalence search drops nodes where the read map can no longer be one-to-one.
 """
 
 from __future__ import annotations
@@ -55,13 +55,12 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _backtrack(nd: int, ne: int, root, extend, budget: int, allowed=None):
+def _backtrack(nd: int, ne: int, root, extend, budget: int):
     """Depth-first search over injective phi; returns (phi, leaf frame) or None.
 
     Every target tried counts as a node, including those blocked because they
-    are used or missing from the bitmask allowed[x].  extend(frame, x, t) is
-    called once phi(y) is fixed for every y < x; it returns the child frame
-    for phi(x) = t, or None.
+    are used.  extend(frame, x, t) is called once phi(y) is fixed for every
+    y < x; it returns the child frame for phi(x) = t, or None.
     """
     phi = [-1] * nd
     used = 0
@@ -74,16 +73,13 @@ def _backtrack(nd: int, ne: int, root, extend, budget: int, allowed=None):
         if depth == nd:
             return tuple(phi), frames[-1]
         x = depth
-        blocked = used
-        if allowed is not None:
-            blocked |= ~allowed[x]
         t = resume[depth]
         child = None
         while t < ne:
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(nodes, budget)
-            if not (blocked >> t) & 1:
+            if not (used >> t) & 1:
                 child = extend(frames[-1], x, t)
                 if child is not None:
                     break
@@ -216,7 +212,10 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     screen each source read a target read with as many blocks.  Candidates
     are a boolean (reads of src) x (reads of dst) matrix narrowed after every
     assignment.  Each surviving pair of reads records, per target block, the
-    source block owning the images in it.  Consistency: phi(x) = t keeps a
+    source block owning the images in it.  One such record, own, and one
+    table of claimed sizes, cap, serve the whole search: an assignment
+    writes them in place and logs what it overwrote on a trail that
+    backtracking undoes (Schulte 1999).  Consistency: phi(x) = t keeps a
     pair only if t's block is unowned or owned by x's block.  Capacity:
     source block b needs |b| distinct target states inside blocks it owns or
     unowned ones, so with cap_b the size of b's blocks, the sum over b of
@@ -239,9 +238,9 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     nb_e = [rho.num_blocks for rho in pe]
     rdmax, remax = max(nb_d), max(nb_e)
 
-    # per-level snapshots make undo free; fall back if they would be huge
-    frame_bytes = p * q * (2 * remax + 4 * rdmax + 10)
-    if frame_bytes * (nd + 1) > 300 * 2 ** 20:
+    # own and cap take 4 bytes a block per pair of reads, each level 13 a pair
+    # (alive and load in its frame, own_bc and cap_b on the trail), the root 5
+    if p * q * (4 * (remax + rdmax) + 13 * nd + 5) > 300 * 2 ** 20:
         return _search_reduction_bitmask(src, dst, budget)
 
     alive0 = np.array([[be >= bd for be in nb_e] for bd in nb_d])
@@ -275,28 +274,28 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
             if alive0 is None:
                 return None
 
-    # target labels index own and nothing bounds them below 32,767, so they are
-    # intp; owners are source block ids, and the guard's 4 * rdmax * (nd + 1) <=
-    # 300 * 2**20 with rdmax <= nd admits at most 8,867 blocks, so int16 holds them
-    b_of = np.array([pi.labels for pi in pd], dtype=np.int16).T  # (nd, p) block of x per source read
-    c_of = np.array([rho.labels for rho in pe], dtype=np.intp).T  # (ne, q) block of t per target read
-    esizes = np.zeros((q, remax), dtype=np.int32)
-    for j, rho in enumerate(pe):
-        esizes[j, :nb_e[j]] = rho.block_sizes()
-    csz_t = esizes[np.arange(q), c_of]  # (ne, q) size of the block of t
+    b_of = np.array([pi.labels for pi in pd], dtype=np.intp).T  # (nd, p) block of x per source read
+    c_of = np.array([rho.labels for rho in pe], dtype=np.int32).T  # (ne, q) block of t per target read
+    csz_t = np.array([np.array(rho.block_sizes(), dtype=np.int32)[c]  # (ne, q) size of t's block
+                      for rho, c in zip(pe, c_of.T)]).T
     dsizes = np.zeros((p, rdmax), dtype=np.int32)
     for i, pi in enumerate(pd):
         dsizes[i, :nb_d[i]] = pi.block_sizes()
 
-    own0 = np.full((p, q, remax), -1, dtype=np.int16)
-    cap0 = np.zeros((p, q, rdmax), dtype=np.int32)
+    own = np.full((p, q, remax), -1, dtype=np.int32)
+    cap = np.zeros((p, q, rdmax), dtype=np.int32)
+    trail = []  # trail[y] = (c, b, own_bc, cap_b): what phi(y) overwrote in own and cap
     load0 = np.full((p, q), nd, dtype=np.int32)  # every cap_b is 0, so the sum of |b|
 
     ip = np.arange(p)[:, None]
     jq = np.arange(q)[None, :]
 
     def extend(frame, x, t):
-        alive, own, cap, load = frame
+        while len(trail) > x:  # undo phi(y) for y >= x, deepest first
+            c, b, own_bc, cap_b = trail.pop()
+            own[ip, jq, c] = own_bc
+            cap[ip, jq, b] = cap_b
+        alive, load = frame
         b = b_of[x][:, None]  # (p, 1)
         c = c_of[t]  # (q,)
         own_bc = own[ip, jq, c]
@@ -305,25 +304,21 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
         if not alive.any(axis=1).all():
             return None
         newclaim = alive & free
-        claims = newclaim.any()  # if not, own, cap and load stay the parent's, which nothing mutates
-        if claims:
-            cap_b = cap[ip, jq, b]
-            new_cap_b = cap_b + np.where(newclaim, csz_t[t], 0)
-            size_b = dsizes[ip, b]
-            load = load + np.maximum(size_b, new_cap_b) - np.maximum(size_b, cap_b)
-            alive &= load <= ne
-            if not alive.any(axis=1).all():
-                return None
+        cap_b = cap[ip, jq, b]
+        new_cap_b = cap_b + np.where(newclaim, csz_t[t], 0)
+        size_b = dsizes[ip, b]
+        load = load + np.maximum(size_b, new_cap_b) - np.maximum(size_b, cap_b)
+        alive &= load <= ne
+        if not alive.any(axis=1).all():
+            return None
         if ac is not None and (alive := _ac_narrow(alive, ac)) is None:
             return None
-        if claims:
-            own = own.copy()
-            own[ip, jq, c] = np.where(newclaim, b, own_bc)
-            cap = cap.copy()
-            cap[ip, jq, b] = new_cap_b
-        return alive, own, cap, load
+        own[ip, jq, c] = np.where(newclaim, b, own_bc)
+        cap[ip, jq, b] = new_cap_b
+        trail.append((c, b, own_bc, cap_b))
+        return alive, load
 
-    hit = _backtrack(nd, ne, (alive0, own0, cap0, load0), extend, budget)
+    hit = _backtrack(nd, ne, (alive0, load0), extend, budget)
     if hit is None:
         return None
     phi, final = hit
@@ -437,6 +432,8 @@ def _search_bijection(src: Device, dst: Device, budget: int):
     step = _mask_step(src, dst, True)
 
     def extend(cands, x, t):
+        if not allowed[x] >> t & 1:
+            return None
         new = step(cands, x, t)
         if (new is not None and len(set(new)) < len(new)
                 and any(k > m.bit_count() for m, k in Counter(new).items())):
@@ -444,7 +441,7 @@ def _search_bijection(src: Device, dst: Device, budget: int):
         return new
 
     init = _read_masks(ms_src, ms_dst, operator.eq)
-    hit = _backtrack(nd, ne, init, extend, budget, allowed)
+    hit = _backtrack(nd, ne, init, extend, budget)
     if hit is None:
         return None
     phi, final = hit

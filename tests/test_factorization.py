@@ -17,6 +17,7 @@ from asdkit.devices import (
 from asdkit.errors import HypothesisViolation, LimitExceeded, NonUniqueTau, PreconditionMismatch
 from asdkit.factorization import (
     _extract_candidate_factors,
+    _same_factor_multiset,
     binary_product_reduce,
     extract_index_partition,
     factor_binary,
@@ -255,6 +256,16 @@ def test_factor_binary_round_trip_with_audit():
                        if decide_equivalence(f, p) is not None)
             remaining.pop(hit)
         assert not remaining
+
+
+def test_same_factor_multiset_pairs_factors_up_to_equivalence():
+    """Factor lists agree when their factors pair off by equivalence in any
+    order; unequal lengths, or a factor whose only same-sized partner is
+    inequivalent, make them differ."""
+    relabelled, _ = random_equivalent(L3, 1)
+    assert _same_factor_multiset([L2, L3], [relabelled, L2], 10 ** 5)
+    assert not _same_factor_multiset([L2, L3], [L2], 10 ** 5)
+    assert not _same_factor_multiset([L2, L3], [make_perfect(4), L3], 10 ** 5)
 
 
 def test_linear_product_equivalence_iff_same_multiset():

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,19 +403,88 @@ def test_sizes_regroup_matches_every_assignment(a_sizes, data):
         regroup_oracle(a_sizes, items)
 
 
-def test_int16_owners_never_exceed_8867_blocks(monkeypatch):
-    """The numpy step keeps block owners as int16; its memory guard keeps them below 32,767.
+def _guard_bytes(src, dst):
+    """The numpy step's memory count: own and cap, 13 bytes a pair per level, 5 at the root."""
+    p, q = src.num_partitions, dst.num_partitions
+    rdmax = max(pi.num_blocks for pi in src.partitions)
+    remax = max(rho.num_blocks for rho in dst.partitions)
+    return p * q * (4 * (remax + rdmax) + 13 * src.num_states + 5)
 
-    Its frames alone take 4 * rdmax * (nd + 1) bytes for a source of nd states
-    and at most rdmax <= nd blocks per read, and the guard admits at most
-    300 * 2**20 bytes, so an 8,868-block source goes to the bitmask step.
+
+def test_8868_state_identity_source_runs_the_numpy_step(monkeypatch):
+    """The guard admits every input that per-level copies of own and cap did.
+
+    Those counted pq N (2 remax + 4 rdmax + 10) bytes with N = nd + 1; one
+    own and one cap with a trail count pq (4 (remax + rdmax) + 13 nd + 5),
+    which is pq ((2N - 4) remax + (4N - 4) rdmax - 3N + 8) >= pq (N + 4) less.
+    The copies put an 8,868-state identity over 300 MiB, into the bitmask
+    step; the trail counts about 186 kB, so the numpy step meets the budget.
     """
-    assert 4 * 8_867 * 8_868 <= 300 * 2 ** 20 < 4 * 8_868 * 8_869
-    sentinel = object()
-    monkeypatch.setattr(reduction, "_search_reduction_bitmask", lambda *args: sentinel)
     g = GroundSet(str(i) for i in range(8_868))
     dev = Device(g, [Partition.identity(g)])
-    assert _search_reduction(dev, dev, 10) is sentinel
+    assert 8_869 * (2 * 8_868 + 4 * 8_868 + 10) > 300 * 2 ** 20 > _guard_bytes(dev, dev)
+    monkeypatch.setattr(reduction, "_search_reduction_bitmask", _refuse_bitmask)
+    with pytest.raises(SearchBudgetExceeded):
+        _search_reduction(dev, dev, 10)
+
+
+def _binary_reads_device(states):
+    """A state-minimal device of 22 two-block reads: 16 bits of the state index and 6 more."""
+    g = GroundSet(str(i) for i in range(states))
+    codes = [[x >> k & 1 for x in range(states)] for k in range(16)]
+    codes += [[x // m % 2 for x in range(states)] for m in (3, 5, 6, 7, 9, 10)]
+    dev = Device(g, [Partition.from_raw(g, c) for c in codes])
+    assert dev.num_partitions == 22 and is_state_minimal(dev)
+    return dev
+
+
+def test_memory_guard_routes_at_300_mib(monkeypatch):
+    """22 two-block reads a side count 314,572,412 bytes at 49,994 states,
+    just under 300 MiB, and 314,578,704 at 49,995, just over: the first
+    stays in the numpy step, the second goes to the bitmask step."""
+    class Handed(Exception):
+        pass
+
+    def handed(*args):
+        raise Handed
+
+    monkeypatch.setattr(reduction, "_search_reduction_bitmask", handed)
+    under, over = _binary_reads_device(49_994), _binary_reads_device(49_995)
+    assert _guard_bytes(under, under) <= 300 * 2 ** 20 < _guard_bytes(over, over)
+    with pytest.raises(Handed):
+        _search_reduction(over, over, 10)
+    with pytest.raises(SearchBudgetExceeded):
+        _search_reduction(under, under, 10)
+
+
+def _identity_into_reads(states, reads, blocks, seed):
+    """An identity source, and a target on as many states: the identity and random reads."""
+    rng = random.Random(seed)
+    g = GroundSet(str(i) for i in range(states))
+    parts = {Partition.identity(g).labels: Partition.identity(g)}
+    while len(parts) < reads:
+        pt = Partition.from_raw(g, [rng.randrange(blocks) for _ in range(states)])
+        parts[pt.labels] = pt
+    return Device(g, [Partition.identity(g)]), Device(g, parts.values())
+
+
+@pytest.mark.parametrize("states, reads, blocks", [(200, 200, 3), (300, 100, 300)])
+def test_search_peak_within_twice_its_memory_count(states, reads, blocks):
+    """With one source read, so no pair propagation, the traced peak of a
+    search that reaches full depth is at least the guard's count and at most
+    twice it: many few-block target reads (levels dominate), and target
+    reads with up to 300 blocks (own and cap weigh more).  The rest is the
+    label tables, 8 bytes a target state per target read, and a few hundred
+    bytes of array headers per level, which the count leaves out."""
+    src, dst = _identity_into_reads(states, reads, blocks, states)
+    tracemalloc.start()
+    try:
+        red = _search_reduction(src, dst, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert red is not None and verify_reduction(src, dst, red)
+    assert _guard_bytes(src, dst) <= peak <= 2 * _guard_bytes(src, dst)
 
 
 def _nine_state_trio(seed):
