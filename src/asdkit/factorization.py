@@ -142,8 +142,9 @@ def extract_index_partition(red: Reduction, ds, es) -> IndexPartition:
     For each right coordinate j, fix the remaining coordinates, vary E_j, and
     pull the witness states back through phi: exactly one left coordinate
     must move, and which one must not depend on the fixed context.  Either
-    failure raises NonUniqueTau, as does a witness that is not a bijection
-    or does not verify.
+    failure raises NonUniqueTau, as does a witness that does not verify.  A
+    verified witness is a bijection: the product of state-minimal factors is
+    state-minimal, so phi is injective, and the state counts are equal.
     """
     ds, es, sd, se = _check_factors(ds, es)
     prod_d = product_of(ds)
@@ -151,8 +152,6 @@ def extract_index_partition(red: Reduction, ds, es) -> IndexPartition:
     if not verify_reduction(prod_d, prod_e, red):
         raise NonUniqueTau("witness does not verify")
     nd = prod_d.num_states
-    if len(set(red.phi)) != nd:
-        raise NonUniqueTau("phi is not a bijection")
     inv = [0] * nd
     for x, t in enumerate(red.phi):
         inv[t] = x

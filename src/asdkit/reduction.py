@@ -26,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .devices import Device
-from .errors import AsdError, PreconditionMismatch, SearchBudgetExceeded
+from .devices import Device, once_per_device
+from .errors import AsdError, LimitExceeded, PreconditionMismatch, SearchBudgetExceeded
 from .invariants import MAX_PAIR_BYTES, _pair_counts, _pair_counts_bytes, prescreen
 from .minimization import is_partition_minimal, is_state_minimal, minimize, state_quotient
 from .partitions import GroundSet, Partition
@@ -49,6 +49,22 @@ def _sep_masks(parts, n: int) -> list[list[int]]:
         rows = word.tolist()
         sep = rows if k == 0 else [[a | b << k for a, b in zip(ra, rb)] for ra, rb in zip(sep, rows)]
     return sep
+
+
+@once_per_device
+def _block_table(dev: Device) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of all reads numbered in read order: ids[x, i] is state x's
+    block of read i and sizes[g] the size of block g, both int32 and read-only.
+    """
+    nb = [pi.num_blocks for pi in dev.partitions]
+    total = sum(nb)
+    if total > np.iinfo(np.int32).max:
+        raise LimitExceeded(f"{total} blocks do not fit int32 block ids")
+    labels = np.array([pi.labels for pi in dev.partitions], dtype=np.int32)
+    ids = (labels + np.cumsum([0] + nb[:-1], dtype=np.int32)[:, None]).T.copy()
+    sizes = np.bincount(ids.ravel(), minlength=total).astype(np.int32)
+    ids.flags.writeable = sizes.flags.writeable = False
+    return ids, sizes
 
 
 def _lowest_bit(mask: int) -> int:
@@ -212,14 +228,16 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     screen each source read a target read with as many blocks.  Candidates
     are a boolean (reads of src) x (reads of dst) matrix narrowed after every
     assignment.  Each surviving pair of reads records, per target block, the
-    source block owning the images in it.  One such record, own, and one
-    table of claimed sizes, cap, serve the whole search: an assignment
-    writes them in place and logs what it overwrote on a trail that
+    source block owning the images in it.  With blocks numbered across all
+    reads (_block_table), one record, own (source reads x target blocks), and
+    one table of claimed sizes, cap (source blocks x target reads), serve
+    the whole search: phi(x) = t writes own's columns at t's blocks and cap's
+    rows at x's blocks in place and logs what it overwrote on a trail that
     backtracking undoes (Schulte 1999).  Consistency: phi(x) = t keeps a
     pair only if t's block is unowned or owned by x's block.  Capacity:
-    source block b needs |b| distinct target states inside blocks it owns or
-    unowned ones, so with cap_b the size of b's blocks, the sum over b of
-    max(|b|, cap_b) must not exceed the target's state count.  Pair
+    source block h needs |h| distinct target states inside blocks it owns or
+    unowned ones, so with cap_h the size of h's blocks, the sum over h of
+    max(|h|, cap_h) must not exceed the target's state count.  Pair
     propagation: any pullback has at least as many blocks merged as its
     source, so a valid assignment needs |meet of target picks| >= |meet of
     the source pair| for every pair of reads, and the join-count analogue
@@ -236,11 +254,12 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     p, q = len(pd), len(pe)
     nb_d = [pi.num_blocks for pi in pd]
     nb_e = [rho.num_blocks for rho in pe]
-    rdmax, remax = max(nb_d), max(nb_e)
+    remax = max(nb_e)
 
-    # own and cap take 4 bytes a block per pair of reads, each level 13 a pair
-    # (alive and load in its frame, own_bc and cap_b on the trail), the root 5
-    if p * q * (4 * (remax + rdmax) + 13 * nd + 5) > 300 * 2 ** 20:
+    # own and cap take 4 bytes a block of one side per read of the other, each level
+    # 13 a pair of reads (alive and load in its frame, own_g and cap_h on the trail),
+    # the root 5; not counted: the block tables, 4 bytes a state per read, and ~1 KB a level
+    if 4 * (p * sum(nb_e) + q * sum(nb_d)) + p * q * (13 * nd + 5) > 300 * 2 ** 20:
         return _search_reduction_bitmask(src, dst, budget)
 
     alive0 = np.array([[be >= bd for be in nb_e] for bd in nb_d])
@@ -274,48 +293,39 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
             if alive0 is None:
                 return None
 
-    b_of = np.array([pi.labels for pi in pd], dtype=np.intp).T  # (nd, p) block of x per source read
-    c_of = np.array([rho.labels for rho in pe], dtype=np.int32).T  # (ne, q) block of t per target read
-    csz_t = np.array([np.array(rho.block_sizes(), dtype=np.int32)[c]  # (ne, q) size of t's block
-                      for rho, c in zip(pe, c_of.T)]).T
-    dsizes = np.zeros((p, rdmax), dtype=np.int32)
-    for i, pi in enumerate(pd):
-        dsizes[i, :nb_d[i]] = pi.block_sizes()
-
-    own = np.full((p, q, remax), -1, dtype=np.int32)
-    cap = np.zeros((p, q, rdmax), dtype=np.int32)
-    trail = []  # trail[y] = (c, b, own_bc, cap_b): what phi(y) overwrote in own and cap
-    load0 = np.full((p, q), nd, dtype=np.int32)  # every cap_b is 0, so the sum of |b|
-
-    ip = np.arange(p)[:, None]
-    jq = np.arange(q)[None, :]
+    ids_src, sizes_src = _block_table(src)
+    ids_dst, sizes_dst = _block_table(dst)
+    own = np.full((p, len(sizes_dst)), -1, dtype=np.int32)  # [i, g]: source block owning g
+    cap = np.zeros((len(sizes_src), q), dtype=np.int32)  # [h, j]: size h claims in read j
+    trail = []  # trail[y] = (g, h, own_g, cap_h): what phi(y) overwrote in own and cap
+    load0 = np.full((p, q), nd, dtype=np.int32)  # every cap_h is 0, so the sum of |h|
 
     def extend(frame, x, t):
         while len(trail) > x:  # undo phi(y) for y >= x, deepest first
-            c, b, own_bc, cap_b = trail.pop()
-            own[ip, jq, c] = own_bc
-            cap[ip, jq, b] = cap_b
+            g, h, own_g, cap_h = trail.pop()
+            own[:, g] = own_g
+            cap[h] = cap_h
         alive, load = frame
-        b = b_of[x][:, None]  # (p, 1)
-        c = c_of[t]  # (q,)
-        own_bc = own[ip, jq, c]
-        free = own_bc < 0
-        alive = alive & (free | (own_bc == b))
+        g = ids_dst[t]  # (q,) t's blocks
+        h = ids_src[x]  # (p,) x's blocks
+        own_g = own[:, g]
+        free = own_g < 0
+        alive = alive & (free | (own_g == h[:, None]))
         if not alive.any(axis=1).all():
             return None
         newclaim = alive & free
-        cap_b = cap[ip, jq, b]
-        new_cap_b = cap_b + np.where(newclaim, csz_t[t], 0)
-        size_b = dsizes[ip, b]
-        load = load + np.maximum(size_b, new_cap_b) - np.maximum(size_b, cap_b)
+        cap_h = cap[h]
+        new_cap_h = cap_h + np.where(newclaim, sizes_dst[g], 0)
+        size_h = sizes_src[h][:, None]
+        load = load + np.maximum(size_h, new_cap_h) - np.maximum(size_h, cap_h)
         alive &= load <= ne
         if not alive.any(axis=1).all():
             return None
         if ac is not None and (alive := _ac_narrow(alive, ac)) is None:
             return None
-        own[ip, jq, c] = np.where(newclaim, b, own_bc)
-        cap[ip, jq, b] = new_cap_b
-        trail.append((c, b, own_bc, cap_b))
+        own[:, g] = np.where(newclaim, h[:, None], own_g)
+        cap[h] = new_cap_h
+        trail.append((g, h, own_g, cap_h))
         return alive, load
 
     hit = _backtrack(nd, ne, (alive0, load0), extend, budget)
@@ -401,27 +411,17 @@ def _search_bijection(src: Device, dst: Device, budget: int):
     Regin's all-different filter) has no leaf below it and is dropped; the
     first leaf, and so the witness, stays the lexicographically least.
     """
-    nd = src.num_states
-    ne = dst.num_states
-    pd, pe = src.partitions, dst.partitions
+    nd, ne = src.num_states, dst.num_states
 
     # exact match forces a read bijection preserving block-size multisets,
     # and a state bijection preserving the per-read size profile
-    ms_src = [pi.size_multiset() for pi in pd]
-    ms_dst = [rho.size_multiset() for rho in pe]
+    ms_src = [pi.size_multiset() for pi in src.partitions]
+    ms_dst = [rho.size_multiset() for rho in dst.partitions]
     if sorted(ms_src) != sorted(ms_dst):
         return None
 
-    def state_profiles(parts, n):
-        at = [[] for _ in range(n)]
-        for q in parts:
-            bs = q.block_sizes()
-            for x in range(n):
-                at[x].append(bs[q.labels[x]])
-        return [tuple(sorted(row)) for row in at]
-
-    prof_src = state_profiles(pd, nd)
-    prof_dst = state_profiles(pe, ne)
+    prof_src, prof_dst = ([tuple(row) for row in np.sort(sizes[ids], axis=1).tolist()]
+                          for ids, sizes in map(_block_table, (src, dst)))
     if sorted(prof_src) != sorted(prof_dst):
         return None
     with_prof: dict[tuple, int] = {}

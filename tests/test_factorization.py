@@ -167,6 +167,16 @@ def test_extract_rejects_corrupted_phi():
         extract_index_partition(Reduction(tuple(phi), red.alpha), [L4, L2], [L4, L2])
 
 
+def test_extract_rejects_a_non_injective_phi_as_unverified():
+    """A well-shaped phi that merges two states fails verification, which
+    is what keeps every later step on a bijection."""
+    red = identity_reduction(product_of([L4, L2]))
+    phi = (red.phi[1],) + red.phi[1:]
+    assert len(set(phi)) < len(phi)
+    with pytest.raises(NonUniqueTau, match="witness does not verify"):
+        extract_index_partition(Reduction(phi, red.alpha), [L4, L2], [L4, L2])
+
+
 def test_factor_binary_recovers_known_product():
     p2 = make_projective(2)
     factors = factor_binary(direct_product(L2, p2))

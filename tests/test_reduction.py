@@ -20,7 +20,7 @@ from asdkit.devices import (
     make_projective,
     product_of,
 )
-from asdkit.errors import PreconditionMismatch, SearchBudgetExceeded
+from asdkit.errors import LimitExceeded, PreconditionMismatch, SearchBudgetExceeded
 from asdkit.graphs import complete_graph, graph_device, make_graph
 from asdkit.minimization import is_partition_minimal, is_state_minimal, minimize, state_quotient
 from asdkit.partitions import GroundSet, Partition
@@ -194,8 +194,9 @@ def test_search_node_counts_pinned(name):
 def test_numpy_step_decides_against_a_40000_state_target(monkeypatch):
     """The numpy step holds no table that grows with the square of the target.
 
-    Its target labels are intp, so 40,000 states do not wrap at 32,767, and
-    its memory guard, which counts only the per-level frames, keeps such a
+    Its block ids are int32, numbered across the reads of each device, so
+    40,000 states do not wrap at 32,767, and its memory guard, which counts
+    own and cap at 4 bytes a block and the per-level frames, keeps such a
     target in the numpy step.  The pair-count pass would take gigabytes on
     this target, so pair propagation is skipped, also for a 2-read source.
     """
@@ -406,9 +407,67 @@ def test_sizes_regroup_matches_every_assignment(a_sizes, data):
 def _guard_bytes(src, dst):
     """The numpy step's memory count: own and cap, 13 bytes a pair per level, 5 at the root."""
     p, q = src.num_partitions, dst.num_partitions
-    rdmax = max(pi.num_blocks for pi in src.partitions)
-    remax = max(rho.num_blocks for rho in dst.partitions)
-    return p * q * (4 * (remax + rdmax) + 13 * src.num_states + 5)
+    blocks_d = sum(pi.num_blocks for pi in src.partitions)
+    blocks_e = sum(rho.num_blocks for rho in dst.partitions)
+    return 4 * (p * blocks_e + q * blocks_d) + p * q * (13 * src.num_states + 5)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_table_numbers_blocks_across_reads_in_read_order(seed):
+    """ids are each read's labels shifted by the blocks of the reads before
+    it, sizes its block sizes in the same order; both are read-only int32
+    arrays, built once per device."""
+    dev = random_device(random.Random(seed), 12, 6)
+    ids, sizes = reduction._block_table(dev)
+    start = 0
+    for i, pi in enumerate(dev.partitions):
+        assert ids[:, i].tolist() == [start + b for b in pi.labels]
+        assert sizes[start:start + pi.num_blocks].tolist() == list(pi.block_sizes())
+        start += pi.num_blocks
+    assert ids.shape == (dev.num_states, dev.num_partitions) and sizes.shape == (start,)
+    assert ids.dtype == sizes.dtype == np.int32
+    for arr in (ids, sizes):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    again = reduction._block_table(dev)
+    assert again[0] is ids and again[1] is sizes
+
+
+def test_block_table_refuses_block_ids_past_int32():
+    """2**31 blocks cannot all have int32 ids, so no array is built."""
+    g = GroundSet("ab")
+    dev = Device(g, [Partition(g, (0, 1), 2 ** 31)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded):
+            reduction._block_table(dev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_flat_count_keeps_an_input_the_padded_count_routed_away(monkeypatch):
+    """An identity read and 36 two-block reads on 11,000 states, as both sides.
+
+    Padding own and cap to the most blocks of a read counts
+    pq (4 (remax + rdmax) + 13 nd + 5) = 316,245,845 bytes, over 300 MiB, which
+    sent this input to the bitmask step.  The flat count is 199,051,157, so
+    the numpy step keeps it.  No input can move the other way: on each side
+    the blocks of all reads number at most reads x most blocks of a read, so
+    the flat count never exceeds the padded one.
+    """
+    states = 11_000
+    g = GroundSet(str(i) for i in range(states))
+    halves = [*range(1, 28), *(2 ** k for k in range(5, 14))]  # x // m % 2 has two blocks
+    codes = [[x // m % 2 for x in range(states)] for m in halves]
+    dev = Device(g, [Partition.identity(g)] + [Partition.from_raw(g, c) for c in codes])
+    assert dev.num_partitions == 37 and is_state_minimal(dev)
+    padded = 37 * 37 * (4 * (states + states) + 13 * states + 5)
+    assert _guard_bytes(dev, dev) == 199_051_157 <= 300 * 2 ** 20 < padded == 316_245_845
+    monkeypatch.setattr(reduction, "_search_reduction_bitmask", _refuse_bitmask)
+    with pytest.raises(SearchBudgetExceeded):
+        _search_reduction(dev, dev, 10)
 
 
 def test_8868_state_identity_source_runs_the_numpy_step(monkeypatch):
@@ -474,8 +533,8 @@ def test_search_peak_within_twice_its_memory_count(states, reads, blocks):
     search that reaches full depth is at least the guard's count and at most
     twice it: many few-block target reads (levels dominate), and target
     reads with up to 300 blocks (own and cap weigh more).  The rest is the
-    label tables, 8 bytes a target state per target read, and a few hundred
-    bytes of array headers per level, which the count leaves out."""
+    block tables, 4 bytes a state per read, and about 1 KB of array headers
+    per level, which the count leaves out."""
     src, dst = _identity_into_reads(states, reads, blocks, states)
     tracemalloc.start()
     try:
