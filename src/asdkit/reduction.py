@@ -9,8 +9,9 @@ _search_reduction adds capacity and pair-count pruning, the latter on
 compatibility rows packed 64 to a uint64 word, and keeps one ownership state
 per search, undone on backtrack.  The bitmask step serves the fallback for
 oversized inputs and the exact-match equivalence search; it compares source
-labels directly and keeps a pairwise table for the target only.  In exact
-mode it checks each new state against one state per block, and the
+labels directly and reads the target's separating reads off its block table,
+one column per target state that becomes the image of a checked state.  In
+exact mode it checks each new state against one state per block, and the
 equivalence search drops nodes where the read map can no longer be one-to-one.
 """
 
@@ -34,23 +35,6 @@ from .partitions import GroundSet, Partition
 from .witnesses import Reduction, compose, verify_reduction
 
 
-def _sep_masks(parts, n: int) -> list[list[int]]:
-    """sep[t][s] = bitmask of partition indices that separate states t and s.
-
-    Bits are set 64 reads to a uint64 word over all (t, s) at once; more
-    than 64 reads join the words into Python ints.
-    """
-    labels = np.array([p.labels for p in parts], dtype=np.intp).reshape(len(parts), n)
-    sep = [[0] * n for _ in range(n)]
-    for k in range(0, len(parts), 64):
-        word = np.zeros((n, n), dtype=np.uint64)
-        for j, lab in enumerate(labels[k:k + 64]):
-            word |= (lab[:, None] != lab[None, :]).astype(np.uint64) << np.uint64(j)
-        rows = word.tolist()
-        sep = rows if k == 0 else [[a | b << k for a, b in zip(ra, rb)] for ra, rb in zip(sep, rows)]
-    return sep
-
-
 @once_per_device
 def _block_table(dev: Device) -> tuple[np.ndarray, np.ndarray]:
     """Blocks of all reads numbered in read order: ids[x, i] is state x's
@@ -65,6 +49,13 @@ def _block_table(dev: Device) -> tuple[np.ndarray, np.ndarray]:
     sizes = np.bincount(ids.ravel(), minlength=total).astype(np.int32)
     ids.flags.writeable = sizes.flags.writeable = False
     return ids, sizes
+
+
+def _sep_column(ids: np.ndarray, s: int) -> list[int]:
+    """Per state t, the bitmask of reads separating t from s: bit i set when
+    ids[t, i] != ids[s, i], with ids a block table."""
+    packed = np.packbits(ids != ids[s], axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
 
 
 def _lowest_bit(mask: int) -> int:
@@ -131,24 +122,29 @@ def _mask_step(src: Device, dst: Device, exact: bool):
     full depth every source read equals a pulled-back target read.  Then
     every surviving candidate already splits the images so far as the read
     splits their sources, so x is checked only against the least state of
-    each block, which is where the block's label first occurs.
+    each block, which is where the block's label first occurs.  The target
+    reads separating two images come from one column of the target's block
+    table, built the first time a checked state takes that image.
     """
-    sep_dst = _sep_masks(dst.partitions, dst.num_states)
+    ids = _block_table(dst)[0]
+    sep = [None] * dst.num_states  # sep[s] = _sep_column(ids, s), once s is a checked image
     labels = [pi.labels for pi in src.partitions]
     checked = [[lab.index(b) for b in range(pi.num_blocks)] if exact else range(src.num_states)
                for lab, pi in zip(labels, src.partitions)]
+    checked_states = set().union(*checked)
     img = [0] * src.num_states  # img[y] = phi(y) for every y below the current x
 
     def extend(cands, x, t):
         img[x] = t
-        sep_t = sep_dst[t]
+        if x - 1 in checked_states and sep[img[x - 1]] is None:
+            sep[img[x - 1]] = _sep_column(ids, img[x - 1])
         new = []
         for m, lab, ys in zip(cands, labels, checked):
             bx = lab[x]
             for y in ys:
                 if y >= x:
                     break
-                row = sep_t[img[y]]
+                row = sep[img[y]][t]
                 if lab[y] != bx:
                     m &= row
                 elif exact:

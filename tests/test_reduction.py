@@ -294,17 +294,57 @@ def test_packed_ac_narrow_matches_the_plain_fixpoint(p, q, live, partners, seed)
                                                                          allow.tolist())
 
 
-@pytest.mark.parametrize("q", [63, 64, 65, 200])
-def test_sep_masks_match_the_raw_label_oracle(q):
-    """Reads packed 64 to a word, with a partial word and more than two
-    words, give every (t, s) the bitmask of reads whose raw labels differ."""
+@pytest.mark.parametrize("q", [1, 7, 8, 9, 63, 64, 65, 200])
+def test_sep_column_matches_the_raw_label_oracle(q):
+    """Every column of a device's block table gives every state t the bitmask
+    of reads whose raw labels at t and s differ, bit k for the device's k-th
+    read (the device sorts its reads).  q covers a partial byte, a full one,
+    a byte and a bit, and the 64-read word boundaries."""
     rng = random.Random(q)
     n = 12
     ground = GroundSet(f"s{i}" for i in range(n))
-    raws = [[rng.randrange(rng.randint(1, n)) for _ in range(n)] for _ in range(q)]
-    expect = [[sum(1 << j for j, raw in enumerate(raws) if raw[t] != raw[s]) for s in range(n)]
-              for t in range(n)]
-    assert reduction._sep_masks([Partition.from_raw(ground, raw) for raw in raws], n) == expect
+    raw_of = {}
+    while len(raw_of) < q:
+        raw = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        raw_of.setdefault(Partition.from_raw(ground, raw).labels, raw)
+    dev = Device(ground, [Partition.from_raw(ground, raw) for raw in raw_of.values()])
+    raws = [raw_of[pi.labels] for pi in dev.partitions]
+    assert len(raws) == q
+    ids = reduction._block_table(dev)[0]
+    for s in range(n):
+        expect = [sum(1 << k for k, raw in enumerate(raws) if raw[t] != raw[s]) for t in range(n)]
+        assert reduction._sep_column(ids, s) == expect
+
+
+def test_bijection_search_builds_a_column_only_for_images_of_checked_states(monkeypatch):
+    """On a relabelled L4xL3 (128 states, 105 reads) each target's separation
+    column is built at most once, only once the target is the image of a
+    block-least source state, and for fewer targets than there are states."""
+    src = minimize(direct_product(L4, L3)).device
+    dst, _ = random_equivalent(src, 1)
+    least = {pi.labels.index(b) for pi in src.partitions for b in range(pi.num_blocks)}
+    sep_column, backtrack = reduction._sep_column, reduction._backtrack
+    assigned, built, from_least = set(), [], []
+
+    def column_spy(ids, s):
+        built.append(s)
+        from_least.append(any((y, s) in assigned for y in least))
+        return sep_column(ids, s)
+
+    def backtrack_spy(nd, ne, root, extend, budget):
+        def recorded(frame, x, t):
+            child = extend(frame, x, t)
+            if child is not None:
+                assigned.add((x, t))
+            return child
+        return backtrack(nd, ne, root, recorded, budget)
+
+    monkeypatch.setattr(reduction, "_sep_column", column_spy)
+    monkeypatch.setattr(reduction, "_backtrack", backtrack_spy)
+    phi, alpha = _search_bijection(src, dst, 10 ** 6)
+    assert verify_reduction(src, dst, Reduction(phi, alpha))
+    assert len(set(built)) == len(built) and all(from_least)
+    assert 0 < len(built) < src.num_states
 
 
 def _reads_shuffled(rng, dev):
@@ -474,10 +514,13 @@ def test_8868_state_identity_source_runs_the_numpy_step(monkeypatch):
     """The guard admits every input that per-level copies of own and cap did.
 
     Those counted pq N (2 remax + 4 rdmax + 10) bytes with N = nd + 1; one
-    own and one cap with a trail count pq (4 (remax + rdmax) + 13 nd + 5),
-    which is pq ((2N - 4) remax + (4N - 4) rdmax - 3N + 8) >= pq (N + 4) less.
-    The copies put an 8,868-state identity over 300 MiB, into the bitmask
-    step; the trail counts about 186 kB, so the numpy step meets the budget.
+    own and one cap with a trail count 4 (p sum nb_e + q sum nb_d) + pq (13 nd + 5)
+    (_guard_bytes).  A side's blocks number at most its reads times its most
+    blocks of a read, so this is at most pq (4 (remax + rdmax) + 13 nd + 5),
+    which is pq ((2N - 4) remax + (4N - 4) rdmax - 3N + 8) >= pq (N + 4) less
+    than the copies.  The copies put an 8,868-state identity over 300 MiB,
+    into the bitmask step; the trail counts about 186 kB, so the numpy step
+    meets the budget.
     """
     g = GroundSet(str(i) for i in range(8_868))
     dev = Device(g, [Partition.identity(g)])
