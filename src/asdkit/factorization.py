@@ -29,7 +29,7 @@ from .errors import (
 )
 from .minimization import is_state_minimal, minimize, state_quotient
 from .partitions import GroundSet, Partition
-from .reduction import decide_equivalence, find_reduction
+from .reduction import _inverse, decide_equivalence, find_reduction
 from .witnesses import Reduction, verify_reduction
 
 # An index partition groups the right-hand factors: entry i holds the
@@ -151,10 +151,7 @@ def extract_index_partition(red: Reduction, ds, es) -> IndexPartition:
     prod_e = product_of(es)
     if not verify_reduction(prod_d, prod_e, red):
         raise NonUniqueTau("witness does not verify")
-    nd = prod_d.num_states
-    inv = [0] * nd
-    for x, t in enumerate(red.phi):
-        inv[t] = x
+    inv = _inverse(red.phi)
     m, n = len(ds), len(es)
     wd = _mixed_radix(sd)
     we = _mixed_radix(se)

@@ -115,35 +115,33 @@ class Partition:
         return cls(ground, labels, k)
 
     @classmethod
-    def from_blocks(cls, ground: GroundSet, blocks: Iterable[Sequence[str]]) -> "Partition":
+    def from_blocks(cls, ground: GroundSet, blocks: Iterable[Iterable[str]]) -> "Partition":
         """Canonicalize a block list; validates coverage, overlap and labels.
 
         The first bad label in document order is the one reported.
         """
-        def overlap(lab: str) -> OverlapError:
-            return OverlapError(f"label {lab!r} appears in more than one block")
-
-        index = ground._index
-        assigned = [-1] * len(ground)
-        for bid, block in enumerate(blocks):  # _dense renumbers: empty blocks leave no gap
-            try:
-                ids = list(map(index.__getitem__, block))
-            except KeyError:  # label by label, since an overlap may come before the unknown label
-                ids = []
-                for lab in block:
-                    i = ground.index_of(lab)
-                    if assigned[i] != -1:
-                        raise overlap(lab) from None
-                    assigned[i] = bid
-            for i in ids:
-                if assigned[i] != -1:
-                    raise overlap(ground.elements[i])
-                assigned[i] = bid
-        for i, b in enumerate(assigned):
-            if b == -1:
-                raise CoverageError(f"label {ground.elements[i]!r} missing from every block")
-        labels, k = _dense(assigned)
-        return cls(ground, labels, k)
+        blocks = [list(block) for block in blocks]
+        try:
+            ids = [list(map(ground._index.__getitem__, block)) for block in blocks]
+        except KeyError:  # leaves every state unset, so the checker below names the label
+            ids = []
+        ids = sorted(filter(None, ids), key=min)  # canonical order: by least state
+        labels = [-1] * len(ground)
+        for bid, block in enumerate(ids):
+            for i in block:
+                labels[i] = bid
+        # as many labels as states and no state left unset: each state named exactly once
+        if sum(map(len, ids)) == len(labels) and -1 not in labels:
+            return cls(ground, tuple(labels), len(ids))
+        seen = set()  # the checker: scan the labels in document order
+        for block in blocks:
+            for lab in block:
+                i = ground.index_of(lab)
+                if i in seen:
+                    raise OverlapError(f"label {lab!r} appears in more than one block")
+                seen.add(i)
+        missing = next(lab for i, lab in enumerate(ground.elements) if i not in seen)
+        raise CoverageError(f"label {missing!r} missing from every block")
 
     @classmethod
     def identity(cls, ground: GroundSet) -> "Partition":
@@ -240,10 +238,11 @@ class Partition:
             ground = product_ground(self.ground, other.ground)
         elif len(ground) != len(self.ground) * len(other.ground):
             raise GroundMismatch("product ground has the wrong size")
+        # With both factors canonical, a * k2 + b numbers blocks by first occurrence:
+        # (a, b) first occurs at (first(a), first(b)), both increasing with the label.
         k2 = other.num_blocks
-        raw = (a * k2 + b for a in self.labels for b in other.labels)
-        labels, k = _dense(raw)
-        return Partition(ground, labels, k)
+        labels = tuple([a * k2 + b for a in self.labels for b in other.labels])
+        return Partition(ground, labels, self.num_blocks * k2)
 
     def pullback(self, phi, domain: GroundSet) -> "Partition":
         """Partition phi∘(-) on `domain`: x ~ y iff phi(x), phi(y) share a block."""

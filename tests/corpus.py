@@ -151,6 +151,27 @@ def with_twins(rng, dev: Device, k: int) -> Device:
 # oracles
 
 
+def block_list_error_oracle(states, blocks):
+    """(error class name, message) that a block list over `states` must raise, or None.
+
+    Plain list scans of the labels in document order: the first unknown or
+    repeated label is named, else the first state in ground order that no
+    block holds.
+    """
+    seen = []
+    for block in blocks:
+        for lab in block:
+            if lab not in states:
+                return "UnknownLabel", f"label {lab!r} not in ground set"
+            if lab in seen:
+                return "OverlapError", f"label {lab!r} appears in more than one block"
+            seen.append(lab)
+    for lab in states:
+        if lab not in seen:
+            return "CoverageError", f"label {lab!r} missing from every block"
+    return None
+
+
 def meet_oracle(p: Partition, q: Partition) -> tuple[int, ...]:
     """Dense labels of the meet: same block iff together in both."""
     pairs = list(zip(p.labels, q.labels))

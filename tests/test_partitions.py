@@ -24,7 +24,13 @@ from asdkit.partitions import (
     product_ground,
 )
 
-from corpus import join_oracle, meet_oracle, random_partition, refines_oracle
+from corpus import (
+    block_list_error_oracle,
+    join_oracle,
+    meet_oracle,
+    random_partition,
+    refines_oracle,
+)
 
 ABC = GroundSet("abc")
 G4 = GroundSet("1234")
@@ -65,6 +71,88 @@ def test_from_blocks_names_the_first_bad_label(blocks, error, message):
     with pytest.raises(error) as raised:
         Partition.from_blocks(ABC, blocks)
     assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_one_shot_blocks_name_their_first_bad_label():
+    """Each block is read once, so a one-shot block is checked with the labels it gave."""
+    with pytest.raises(UnknownLabel) as raised:
+        canonicalize(ABC, [iter(["a", "z", "b"]), ["c"]])
+    assert type(raised.value) is UnknownLabel and str(raised.value) == "label 'z' not in ground set"
+    blocks = [["c", "a"], [], ["b"]]
+    one_shot = canonicalize(ABC, (iter(block) for block in blocks))
+    assert one_shot == canonicalize(ABC, blocks) and one_shot.labels == (0, 1, 0)
+
+
+def _scrambled_blocks(rng, ground: GroundSet, codes) -> list[list[str]]:
+    """The blocks of `codes` in random order, each shuffled, with empty blocks mixed in."""
+    by_code: dict = {}
+    for lab, code in zip(ground.elements, codes):
+        by_code.setdefault(code, []).append(lab)
+    blocks = list(by_code.values()) + [[] for _ in range(rng.randint(0, 2))]
+    rng.shuffle(blocks)
+    for block in blocks:
+        rng.shuffle(block)
+    return blocks
+
+
+def test_from_blocks_and_product_agree_with_from_raw():
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        g = GroundSet(f"s{i}" for i in range(n))
+        shape = rng.choice(["one block", "identity", "random"])
+        if shape == "one block":
+            codes = [7] * n
+        elif shape == "identity":
+            codes = rng.sample(range(n), n)
+        else:
+            codes = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        expect = Partition.from_raw(g, codes)
+        blocks = _scrambled_blocks(rng, g, codes)
+        for given in (blocks, (iter(block) for block in blocks)):
+            p = Partition.from_blocks(g, given)
+            assert p == expect and (p.labels, p.num_blocks) == (expect.labels, expect.num_blocks)
+
+    grounds = [GroundSet(f"{c}{i}" for i in range(n)) for c, n in zip("xyz", (1, 3, 5))]
+    for _ in range(200):
+        p, q, r = (random_partition(rng, rng.choice(grounds)) for _ in range(3))
+        pq = p.product(q)
+        k2 = q.num_blocks
+        assert pq == Partition.from_raw(pq.ground, (a * k2 + b for a in p.labels for b in q.labels))
+        assert pq.num_blocks == p.num_blocks * k2
+        pqr = pq.product(r)
+        triples = [(a, b, c) for a in p.labels for b in q.labels for c in r.labels]
+        assert pqr == Partition.from_raw(pqr.ground, triples)
+        assert pqr == p.product(q.product(r), pqr.ground)
+
+
+def test_from_blocks_errors_match_a_document_order_scan():
+    rng = random.Random(21)
+    raised = set()
+    for _ in range(400):
+        g = GroundSet(f"s{i}" for i in range(rng.randint(1, 6)))
+        blocks = _scrambled_blocks(rng, g, [rng.randrange(3) for _ in g])
+        for _ in range(rng.randint(1, 3)):
+            b = rng.randrange(len(blocks))
+            labels = [lab for block in blocks for lab in block]
+            kind = rng.choice(["unknown", "repeat", "drop"] if labels else ["unknown"])
+            if kind == "unknown":
+                blocks[b].insert(rng.randint(0, len(blocks[b])), rng.choice(["z", "s9", "", "S0"]))
+            elif kind == "repeat":  # into its own block or another one
+                blocks[b].insert(rng.randint(0, len(blocks[b])), rng.choice(labels))
+            else:
+                b = rng.choice([j for j, block in enumerate(blocks) if block])
+                del blocks[b][rng.randrange(len(blocks[b]))]
+        expect = block_list_error_oracle(list(g.elements), blocks)
+        for given in (blocks, (iter(block) for block in blocks)):
+            if expect is None:
+                Partition.from_blocks(g, given)
+                continue
+            with pytest.raises(Exception) as error:
+                Partition.from_blocks(g, given)
+            assert (type(error.value).__name__, str(error.value)) == expect
+            raised.add(expect[0])
+    assert raised == {"UnknownLabel", "OverlapError", "CoverageError"}
 
 
 def test_ground_set_protocols_and_reprs():
