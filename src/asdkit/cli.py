@@ -23,30 +23,39 @@ from .reduction import decide_equivalence, find_reduction, ip_nonequiv_sim
 from .witnesses import reduction_from_dict, reduction_to_dict, verify_reduction
 
 
-def _indented(obj, indent: str = "") -> str:
+class _Encoded(dict):
+    """str -> its JSON literal, each distinct string run through the C encoder once."""
+
+    def __missing__(self, s):
+        self[s] = lit = _encode_str(s)  # raises TypeError on a non-string
+        return lit
+
+
+def _indented(obj, enc: _Encoded, indent: str = "") -> str:
     """json.dumps(obj, ensure_ascii=False, indent=2) for documents with string keys.
 
     json's indenting encoder runs in pure Python; this writes the same bytes,
-    joining a list of strings in one pass over the C string encoder.
+    joining a list of strings in one pass over the C string encoder.  One
+    memo per document encodes each distinct string (key or item) only once.
     """
     if isinstance(obj, str):
-        return _encode_str(obj)
+        return enc[obj]
     if not isinstance(obj, (dict, list, tuple)) or not obj:  # other scalars, empty containers
         return json.dumps(obj, ensure_ascii=False)
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(obj, dict):
-        items = (f"{_encode_str(k)}: {_indented(v, inner)}" for k, v in obj.items())
+        items = (f"{enc[k]}: {_indented(v, enc, inner)}" for k, v in obj.items())
         return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
-    try:  # the string encoder raises TypeError on a non-string
-        items = sep.join(map(_encode_str, obj))
+    try:  # the memo raises TypeError on a non-string
+        items = sep.join(map(enc.__getitem__, obj))
     except TypeError:
-        items = sep.join(_indented(v, inner) for v in obj)
+        items = sep.join(_indented(v, enc, inner) for v in obj)
     return "[\n" + inner + items + "\n" + indent + "]"
 
 
 def _emit(obj, out_path: str | None) -> None:
-    text = _indented(obj) + "\n"
+    text = _indented(obj, _Encoded()) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations, product as iproduct
+from itertools import chain, combinations, product as iproduct, repeat
 from typing import Iterable
 
 from . import config
@@ -123,7 +123,8 @@ class Device:
         if not all(isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)
                    for blocks in partitions):
             raise ValueError("each partition must be a list of block lists")
-        if not all(isinstance(x, str) for blocks in partitions for b in blocks for x in b):
+        if not all(map(isinstance, chain.from_iterable(chain.from_iterable(partitions)),
+                       repeat(str))):
             raise ValueError("block labels must be strings")
         ground = GroundSet(states)
         parts = [Partition.from_blocks(ground, blocks) for blocks in partitions]

@@ -37,13 +37,17 @@ def _redundant_indices(parts: tuple[Partition, ...]) -> set[int]:
     """Indices of partitions strictly coarser than some other family member.
 
     A strict coarsening must have strictly fewer blocks (the family is
-    deduplicated), so only pairs with differing block counts are compared.
+    deduplicated), so each read is compared only with the prefix of reads
+    that have more blocks: ``order[:finer]``.
     """
     order = sorted(range(len(parts)), key=lambda i: -parts[i].num_blocks)
     out: set[int] = set()
+    finer = 0
     for a, i in enumerate(order):
-        for j in order[:a]:
-            if parts[j].num_blocks > parts[i].num_blocks and parts[j].refines(parts[i]):
+        if parts[order[finer]].num_blocks > parts[i].num_blocks:
+            finer = a  # the reads before a all have more blocks than i
+        for j in order[:finer]:
+            if parts[j].refines(parts[i]):
                 out.add(i)
                 break
     return out

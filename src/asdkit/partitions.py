@@ -120,7 +120,8 @@ class Partition:
 
         The first bad label in document order is the one reported.
         """
-        blocks = [list(block) for block in blocks]
+        # the fast path and the checker both read every block, so one-shot iterators are copied
+        blocks = [block if type(block) is list else list(block) for block in blocks]
         try:
             ids = [list(map(ground._index.__getitem__, block)) for block in blocks]
         except KeyError:  # leaves every state unset, so the checker below names the label

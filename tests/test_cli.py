@@ -165,11 +165,20 @@ def test_reduce_no_phi_between_equal_sized_products(files, capsys):
     assert json.loads(capsys.readouterr().out) == {"reason": "no φ exists"}
 
 
-_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+# a small pool, so strings repeat across keys and items and the emitter's memo is hit;
+# it holds what the encoder escapes, non-ASCII text and a lone surrogate
+_POOL = st.sampled_from(["", "a", "s0", '"', "\\", 'a"\\b', "\n\t\x00\x1f\x7f", "é ü 中文",
+                         "\U0001f600", "\ud800", "(s0,s1)"])
+_STRINGS = _POOL | st.text()
+_NON_STRINGS = st.none() | st.booleans() | st.integers() | st.floats()
+_SCALARS = _NON_STRINGS | _STRINGS
 _DOCUMENTS = st.recursive(
     _SCALARS,
-    lambda kids: (st.lists(kids, max_size=4) | st.lists(st.text(), max_size=4)
-                  | st.dictionaries(st.text(), kids, max_size=4)),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(_STRINGS, max_size=6)
+                  # strings first, so the memo holds them when a non-string ends the fast path
+                  | st.tuples(st.lists(_POOL, min_size=1, max_size=4), _NON_STRINGS,
+                              st.lists(kids, max_size=2)).map(lambda t: t[0] + [t[1]] + t[2])
+                  | st.dictionaries(_STRINGS, kids, max_size=4)),
     max_leaves=24)
 
 

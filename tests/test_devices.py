@@ -51,6 +51,26 @@ def test_validate_examples():
         Device(GroundSet("ab"), [Partition.identity(GroundSet("abc"))])
 
 
+@pytest.mark.parametrize("bad", [7, None, ["b"], {"b": "b"}])
+def test_label_type_check_comes_before_label_lookup(bad):
+    """A non-string label in the last read wins over an unknown state in an earlier one."""
+    raw = {"states": ["a", "b"], "partitions": [[["z"], ["a", "b"]], [["a"], [bad]]]}
+    with pytest.raises(ValueError) as raised:
+        validate(raw)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "block labels must be strings"
+    with pytest.raises(UnknownLabel):
+        validate(dict(raw, partitions=raw["partitions"][:1]))
+
+
+def test_str_subclass_labels_are_accepted():
+    class Tag(str):
+        pass
+
+    tagged = validate({"states": ["a", "b"], "partitions": [[[Tag("b")], [Tag("a")]]]})
+    assert tagged == validate({"states": ["a", "b"], "partitions": [[["a"], ["b"]]]})
+
+
 def test_classify_named_devices():
     c4 = classify(make_perfect(4))
     assert c4.perfect and c4.regular == 4 and not c4.binary

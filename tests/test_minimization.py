@@ -13,7 +13,7 @@ from asdkit.minimization import is_partition_minimal, is_state_minimal, minimize
 from asdkit.partitions import GroundSet, Partition
 from asdkit.witnesses import verify_reduction
 
-from corpus import random_device, random_graph
+from corpus import random_device, random_graph, with_coarsened_reads
 
 
 def test_is_state_minimal_examples():
@@ -145,3 +145,38 @@ def test_minimize_picks_least_valid_reads():
         merged += len(reps) < d.num_states
         dropped += len(kept) < len(rows)
     assert merged > 50 and dropped > 50
+
+
+def _equal_count_device(rng) -> Device:
+    """Random reads that all have the same number of blocks, so none is redundant."""
+    n = rng.randint(2, 7)
+    k = rng.randint(1, n)
+    ground = GroundSet(f"s{i}" for i in range(n))
+    parts = []
+    for _ in range(rng.randint(1, 6)):
+        codes = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        rng.shuffle(codes)
+        parts.append(Partition.from_raw(ground, codes))
+    return Device(ground, parts)
+
+
+def test_redundant_indices_match_a_scan_of_all_pairs():
+    """Scanning only the reads with more blocks finds every strictly coarser read.
+
+    Coarsened families hold runs of reads with equal block counts between
+    their finer and coarser reads; equal-count families have none to find.
+    """
+    rng = random.Random(139)
+    found = equal_count = 0
+    for _ in range(300):
+        if rng.random() < 0.3:
+            d = _equal_count_device(rng)
+            equal_count += 1
+        else:
+            d = with_coarsened_reads(random_device(rng, 6, 2))
+        rows = [p.labels for p in d.partitions]
+        expect = {i for i, r in enumerate(rows)
+                  if any(j != i and _refines_raw(q, r) for j, q in enumerate(rows))}
+        assert minimization._redundant_indices(d.partitions) == expect
+        found += bool(expect)
+    assert found > 100 and equal_count > 50

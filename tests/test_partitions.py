@@ -83,6 +83,31 @@ def test_one_shot_blocks_name_their_first_bad_label():
     assert one_shot == canonicalize(ABC, blocks) and one_shot.labels == (0, 1, 0)
 
 
+def test_list_blocks_are_read_in_place_and_others_copied():
+    """List blocks are not copied and not changed; tuples and one-shot iterators are
+    read once each, and the first bad label in document order is still named."""
+    rng = random.Random(22)
+    outcomes = set()
+    for _ in range(300):
+        g = GroundSet(f"s{i}" for i in range(rng.randint(1, 5)))
+        blocks = [[lab] for lab in g.elements] + [[rng.choice(["z", "s0", "s1"])]]
+        rng.shuffle(blocks)
+        blocks = blocks[:rng.randint(1, len(blocks))]
+        snapshot = [list(block) for block in blocks]
+        given = [rng.choice([list, tuple, iter])(block) if rng.random() < 0.5 else block
+                 for block in blocks]
+        expect = block_list_error_oracle(list(g.elements), snapshot)
+        if expect is None:
+            assert Partition.from_blocks(g, given) == Partition.from_blocks(g, snapshot)
+        else:
+            with pytest.raises(Exception) as error:
+                Partition.from_blocks(g, given)
+            assert (type(error.value).__name__, str(error.value)) == expect
+        assert blocks == snapshot
+        outcomes.add(expect and expect[0])
+    assert outcomes == {None, "UnknownLabel", "OverlapError", "CoverageError"}
+
+
 def _scrambled_blocks(rng, ground: GroundSet, codes) -> list[list[str]]:
     """The blocks of `codes` in random order, each shuffled, with empty blocks mixed in."""
     by_code: dict = {}
