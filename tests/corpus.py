@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 from asdkit.devices import Device, classify
 from asdkit.graphs import Graph, make_graph
 from asdkit.minimization import is_state_minimal, minimize
-from asdkit.partitions import GroundSet, Partition
+from asdkit.partitions import GroundSet, Join, Meet, Partition, Var
 
 
 # ----------------------------------------------------------------------
@@ -225,6 +226,44 @@ def signature_certificate_oracle(a: Device, b: Device):
         return None
     least = min(diff)
     return {"depth": 2, "profile": list(least), "left_count": ca[least], "right_count": cb[least]}
+
+
+def poly_signature_oracle(dev: Device, depth: int):
+    """poly_signature(dev, depth) recomputed pair by pair: the structurally
+    distinct two-variable polynomials up to depth, generated here shallow to
+    deep, each evaluated on every ordered read pair with the meet and join
+    oracles, and the block-count profiles counted."""
+    levels = {1: [Var(1), Var(2)]}
+    depth_of = {Var(1): 1, Var(2): 1}
+    for d in range(2, depth + 1):
+        pool = [e for dd in range(1, d) for e in levels[dd]]
+        levels[d] = []
+        for i, a in enumerate(pool):
+            for b in pool[i + 1:]:
+                if max(depth_of[a], depth_of[b]) != d - 1:
+                    continue
+                for e in (Meet(a, b), Join(a, b)):
+                    if e not in depth_of:
+                        depth_of[e] = d
+                        levels[d].append(e)
+    polys = [Var(1)] + [e for d in range(2, depth + 1) for e in levels[d]]
+
+    def value(e, pair, memo):  # a stand-in with the labels the oracles read
+        if e not in memo:
+            if isinstance(e, Var):
+                memo[e] = SimpleNamespace(labels=pair[e.index - 1].labels)
+            else:
+                op = meet_oracle if isinstance(e, Meet) else join_oracle
+                labels = op(value(e.left, pair, memo), value(e.right, pair, memo))
+                memo[e] = SimpleNamespace(labels=labels)
+        return memo[e]
+
+    profiles = Counter()
+    for p in dev.partitions:
+        for r in dev.partitions:
+            memo: dict = {}
+            profiles[tuple(len(set(value(e, (p, r), memo).labels)) for e in polys)] += 1
+    return tuple(sorted(profiles.items()))
 
 
 def least_reduction_oracle(src: Device, dst: Device):

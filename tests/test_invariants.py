@@ -33,7 +33,7 @@ from asdkit.invariants import (
 from asdkit.minimization import minimize
 from asdkit.reduction import random_equivalent
 
-from corpus import random_device, two_block_reads, with_coarsened_reads
+from corpus import poly_signature_oracle, random_device, two_block_reads, with_coarsened_reads
 
 L2 = make_linear(2)
 L3 = make_linear(3)
@@ -168,6 +168,17 @@ def test_poly_signature_depth_three():
     assert len(poly_signature(dm, depth=3)[0][0]) > 3
 
 
+def test_poly_signature_matches_the_pair_by_pair_oracle():
+    """Profiles read off the four pair counts equal every polynomial evaluated
+    on every ordered read pair: 300 seeded devices at depths 2 and 3, the
+    first 30 of them at depth 4 too."""
+    rng = random.Random(11)
+    for i in range(300):
+        dev = random_device(rng)
+        for depth in (2, 3, 4) if i < 30 else (2, 3):
+            assert poly_signature(dev, depth=depth) == poly_signature_oracle(dev, depth)
+
+
 def _assert_pair_counts_exact(dev):
     meets, joins = _pair_counts(dev)
     for a, pa in enumerate(dev.partitions):
@@ -263,6 +274,23 @@ def test_signature_peak_within_its_estimate():
             tracemalloc.stop()
         assert (peak > _pair_counts_bytes(dev)) == sort_is_peak
         assert peak <= _pair_counts_bytes(dev) + 26 * reads ** 2 <= 2 * peak
+
+
+def test_deep_signature_peak_within_its_estimate():
+    """From depth 3 on the |rho| column adds 8 bytes per pair of reads: the
+    pair counts' estimate plus 34 bytes per pair bounds the traced peak of a
+    fresh depth-3 signature of 2,000 two-block reads, where the sort is the
+    peak, and stays within twice it."""
+    reads = 2000
+    dev = two_block_reads(random.Random(5), reads)
+    tracemalloc.start()
+    try:
+        poly_signature(dev, depth=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak > _pair_counts_bytes(dev)
+    assert peak <= _pair_counts_bytes(dev) + 34 * reads ** 2 <= 2 * peak
 
 
 def test_signature_refused_beyond_its_memory_bound(monkeypatch):

@@ -3,8 +3,10 @@ perfectness index, pair counts and polynomial signature; the index is also
 checked against an exhaustive oracle and the product rule, and the meet, the
 depth-2 signature and the minimized reads against the lattice operations.
 The signature certificate is checked against a pair-by-pair oracle, and the
-lattice laws against the meet, join and refinement oracles.  Reduction and
-equivalence verdicts are checked to ignore the state order."""
+lattice laws against the meet, join and refinement oracles, as is the
+free-lattice lookup behind every signature polynomial.  Reduction and
+equivalence verdicts are checked to ignore the state order, and minimizing a
+product to agree with the product of the minimized factors."""
 
 import functools
 from collections import Counter
@@ -13,13 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 from asdkit.devices import Device, direct_product
 from asdkit.invariants import (
+    _FREE,
+    _free_value,
     _pair_counts,
     _signature_certificate,
+    _signature_polys,
     perfectness_index,
     poly_signature,
 )
 from asdkit.minimization import minimize
-from asdkit.partitions import GroundSet, Partition
+from asdkit.partitions import GroundSet, Partition, eval_poly
 from asdkit.reduction import decide_equivalence, find_reduction, random_equivalent
 from asdkit.witnesses import verify_reduction
 
@@ -94,6 +99,41 @@ def test_depth_two_signature_matches_the_lattice_operations(dev):
     expected = Counter((a.num_blocks, a.meet(b).num_blocks, a.join(b).num_blocks)
                        for a in dev.partitions for b in dev.partitions)
     assert poly_signature(dev) == tuple(sorted(expected.items()))
+
+
+@st.composite
+def partition_pairs(draw) -> tuple[Partition, Partition]:
+    n = draw(st.integers(1, 6))
+    ground = GroundSet(f"s{i}" for i in range(n))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return Partition.from_raw(ground, draw(row)), Partition.from_raw(ground, draw(row))
+
+
+@SETTINGS
+@given(partition_pairs())
+def test_every_signature_polynomial_is_one_of_the_four_free_lattice_elements(pair):
+    """x, y, x meet y and x join y of the witness pair are distinct, so they
+    are the free lattice on two generators; on any pair each depth-4
+    polynomial is then the one of p, r, p meet r and p join r that
+    _free_value names."""
+    x, y = _FREE[:2]
+    assert _FREE[2:] == (x.meet(y), x.join(y)) and len(set(_FREE)) == 4
+    p, r = pair
+    four = (p.labels, r.labels, meet_oracle(p, r), join_oracle(p, r))
+    for e in _signature_polys(4):
+        assert eval_poly(e, pair).labels == four[_free_value(e)]
+
+
+@SETTINGS
+@given(devices(), devices(), st.integers(0, 2 ** 30))
+def test_minimizing_a_product_is_the_product_of_the_minimized_factors(a, b, seed):
+    """Metamorphic: minimize(A x B) is equivalent to minimize(A) x minimize(B),
+    and a relabelled copy of it keeps its depth-3 signature."""
+    whole = minimize(direct_product(a, b)).device
+    factors = direct_product(minimize(a).device, minimize(b).device)
+    assert decide_equivalence(whole, factors) is not None
+    e, _ = random_equivalent(whole, seed)
+    assert poly_signature(e, depth=3) == poly_signature(whole, depth=3)
 
 
 @SETTINGS
