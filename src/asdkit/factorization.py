@@ -19,6 +19,8 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
+
 from . import config
 from .devices import Device, classify, make_perfect, product_of
 from .errors import (
@@ -27,6 +29,7 @@ from .errors import (
     NonUniqueTau,
     PreconditionMismatch,
 )
+from .invariants import MAX_PAIR_BYTES, _pair_counts, _pair_counts_bytes
 from .minimization import is_state_minimal, minimize, state_quotient
 from .partitions import GroundSet, Partition
 from .reduction import _inverse, decide_equivalence, find_reduction
@@ -229,8 +232,15 @@ def _binary_candidates(s: int) -> tuple[Device, ...]:
 def _restrict_to_first_join_block(dm: Device) -> tuple[int, Device] | None:
     """Split off the perfect part: returns (number of C_2 factors, the device
     restricted to one block of the family join), or None when the join shape
-    already rules out a binary product."""
-    v = functools.reduce(Partition.join, dm.partitions)
+    already rules out a binary product.  The join is folded until it is top,
+    and a one-block join returns dm itself."""
+    v = dm.partitions[0]
+    for p in dm.partitions[1:]:
+        if v.is_top:
+            break
+        v = v.join(p)
+    if v.is_top:
+        return 0, dm
     pb = v.num_blocks
     ell = pb.bit_length() - 1
     if 2**ell != pb:
@@ -243,17 +253,48 @@ def _restrict_to_first_join_block(dm: Device) -> tuple[int, Device] | None:
     return ell, Device(ground, parts)
 
 
+def _lifts(dev: Device) -> tuple[list[Partition], list[int]]:
+    """The distinct 2-block joins of read pairs, and per read the bitmask of
+    those joins it refines (bit k for the k-th join).
+
+    Candidate pairs are those whose join count in _pair_counts is 2.  A pair
+    whose reads both refine a known join is skipped: their join refines it
+    and has its two blocks, so it is that join.  Every join computed is
+    therefore new.  Raises LimitExceeded when the pair counts would take
+    more than MAX_PAIR_BYTES.
+    """
+    if _pair_counts_bytes(dev) > MAX_PAIR_BYTES:
+        raise LimitExceeded(f"pair counts of {dev.num_partitions} reads exceed the memory cap")
+    reads = dev.partitions
+    joins = _pair_counts(dev)[1]
+    lifts: list[Partition] = []
+    hits = [0] * len(reads)
+    rows, cols = np.nonzero(np.triu(joins == 2, 1))
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        if hits[a] & hits[b]:
+            continue
+        theta = reads[a].join(reads[b])
+        bit = 1 << len(lifts)
+        lifts.append(theta)
+        # a read refining theta joins reads[a] and reads[b] below theta, never to top
+        for k in np.flatnonzero((joins[a] > 1) & (joins[b] > 1)).tolist():
+            if reads[k].refines(theta):
+                hits[k] |= bit
+    return lifts, hits
+
+
 def _extract_candidate_factors(dm: Device) -> list[Device] | None:
     """Propose binary factors for a state-minimal device.
 
     In a product of non-perfect binaries the join of two reads is a 2-block
     partition exactly when they agree in one coordinate, and that join is the
-    lift of the shared factor read.  Collecting all such joins therefore
-    recovers every lifted read.  The first read refines exactly one lift per
-    factor, its anchor, and a lift belongs to the one anchor that no read
-    refines together with it.  Each group's meet is the kernel of the
-    projection onto that factor, and quotienting by it rebuilds the factor.
-    The proposal is only a candidate: the caller certifies equivalence.
+    lift of the shared factor read.  _lifts collects every such join, with
+    one join per distinct lift, and so every lifted read.  The first read
+    refines exactly one lift per factor, its anchor, and a lift belongs to
+    the one anchor that no read refines together with it.  Each group's meet
+    is the kernel of the projection onto that factor, and quotienting by it
+    rebuilds the factor.  The proposal is only a candidate: the caller
+    certifies equivalence.  Raises LimitExceeded as _lifts does.
     """
     stripped = _restrict_to_first_join_block(dm)
     if stripped is None:
@@ -265,25 +306,16 @@ def _extract_candidate_factors(dm: Device) -> list[Device] | None:
         if cls.binary and not cls.perfect:
             factors = [core]
         else:
-            reads = core.partitions
-            lifts: dict[tuple[int, ...], Partition] = {}
-            for a, b in itertools.combinations(range(len(reads)), 2):
-                j = reads[a].join(reads[b])
-                if j.num_blocks == 2:
-                    lifts.setdefault(j.labels, j)
+            lifts, hits = _lifts(core)
             if not lifts:
                 return None
-            lift_list = [lifts[k] for k in sorted(lifts)]
-            refined = [
-                [r.refines(theta) for theta in lift_list] for r in reads
-            ]
             # reads[0] refines one lift per factor; any other lift shares a
             # refining read with every anchor but its own factor's
-            anchors = [a for a, hit in enumerate(refined[0]) if hit]
+            anchors = [a for a in range(len(lifts)) if hits[0] >> a & 1]
             groups: dict[int, list[Partition]] = {a: [] for a in anchors}
-            for idx, theta in enumerate(lift_list):
-                own = [idx] if refined[0][idx] else [
-                    a for a in anchors if not any(row[a] and row[idx] for row in refined)
+            for idx, theta in enumerate(lifts):
+                own = [idx] if hits[0] >> idx & 1 else [
+                    a for a in anchors if not any(h >> a & h >> idx & 1 for h in hits)
                 ]
                 if len(own) != 1:
                     return None
@@ -328,17 +360,34 @@ def _same_factor_multiset(f1: list[Device], f2: list[Device], budget: int) -> bo
     return True
 
 
+def _read_profiles(factors: list[Device]) -> list[tuple[int, ...]]:
+    """Sorted block-size multisets of the reads of product_of(factors), read
+    off the factors: a product read's blocks are one block per factor read,
+    of the product of their sizes."""
+    profiles = [(1,)]
+    for f in factors:
+        sizes = [p.block_sizes() for p in f.partitions]
+        profiles = [tuple(sorted(x * y for x in prof for y in s)) for prof in profiles for s in sizes]
+    return sorted(profiles)
+
+
 def _audit_uniqueness(dm: Device, primary: list[Device] | None, budget: int) -> None:
     """Cross-check uniqueness against the exhaustive candidate enumeration.
 
     Re-runs the search the direct way: every multiplicative splitting of the
     state count with parts up to the configured cap, every candidate combo
-    per splitting, certified by the solver.  All factorizations found this
-    way must match the primary one (and each other) up to factor order;
-    splittings with a part above the cap are skipped, so the audit is only as
-    wide as the enumeration it can afford.
+    per splitting, certified by the solver.  A product of candidates is
+    minimal, so decide_equivalence compares its reads' block-size multisets
+    with dm's before any search; the audit predicts those from the factors
+    and skips a combo whose multisets differ without building its product.
+    All factorizations found this way must match the primary one (and each
+    other) up to factor order, and a factorization found when the probe
+    found none raises RuntimeError too.  Splittings with a part above the
+    cap are skipped, so the audit is only as wide as the enumeration it can
+    afford.
     """
     found = [] if primary is None else [primary]
+    want = sorted(p.size_multiset() for p in dm.partitions)
     for split in _splittings(dm.num_states, config.MAX_FACTOR_STATES):
         sized = sorted(Counter(split).items())
         pools = [
@@ -349,8 +398,12 @@ def _audit_uniqueness(dm: Device, primary: list[Device] | None, budget: int) -> 
             combo = [f for grp in chosen for f in grp]
             if math.prod(f.num_partitions for f in combo) != dm.num_partitions:
                 continue
+            if _read_profiles(combo) != want:
+                continue
             if decide_equivalence(dm, product_of(combo), budget=budget):
                 found.append(combo)
+    if primary is None and found:
+        raise RuntimeError("uniqueness audit found a factorization the probe missed")
     for f1, f2 in itertools.combinations(found, 2):
         if not _same_factor_multiset(f1, f2, budget):
             raise RuntimeError("uniqueness audit found inequivalent factorizations")
@@ -367,8 +420,10 @@ def factor_binary(
     is always a genuine factorization and None is trustworthy whenever the
     probe is exhaustive, which it is for true binary products.  With audit
     set, an independent enumeration over small candidate factors re-finds
-    every factorization and a uniqueness violation raises RuntimeError.
-    A trivial one-state device factors as the empty product.
+    every factorization, and a uniqueness violation or a factorization the
+    probe missed raises RuntimeError.  The probe raises LimitExceeded when
+    its pair counts would exceed MAX_PAIR_BYTES.  A trivial one-state device
+    factors as the empty product.
     """
     dm = minimize(dev).device
     n = dm.num_states

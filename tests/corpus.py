@@ -202,6 +202,13 @@ def join_oracle(p: Partition, q: Partition) -> tuple[int, ...]:
     return tuple(ids.setdefault(find(x), len(ids)) for x in range(n))
 
 
+def two_block_joins_oracle(dev: Device) -> list[tuple[int, ...]]:
+    """Sorted distinct labels of the 2-block joins over every pair of reads,
+    each join computed by join_oracle."""
+    joins = {join_oracle(p, q) for p, q in combinations(dev.partitions, 2)}
+    return sorted(j for j in joins if len(set(j)) == 2)
+
+
 def refines_oracle(p: Partition, q: Partition) -> bool:
     block_of: dict = {}
     for x, b in enumerate(p.labels):

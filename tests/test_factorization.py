@@ -1,7 +1,9 @@
 """Binary-product reducibility, tau extraction, factorization, uniqueness."""
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,10 +16,17 @@ from asdkit.devices import (
     make_projective,
     product_of,
 )
+from asdkit import config, factorization
 from asdkit.errors import HypothesisViolation, LimitExceeded, NonUniqueTau, PreconditionMismatch
 from asdkit.factorization import (
+    MAX_CERTIFIED_STATES,
+    _binary_candidates,
     _extract_candidate_factors,
+    _lifts,
+    _read_profiles,
+    _restrict_to_first_join_block,
     _same_factor_multiset,
+    _splittings,
     binary_product_reduce,
     extract_index_partition,
     factor_binary,
@@ -28,7 +37,13 @@ from asdkit.partitions import GroundSet, Partition, product_ground
 from asdkit.reduction import decide_equivalence, find_reduction, random_equivalent
 from asdkit.witnesses import Reduction, identity_reduction
 
-from corpus import random_binary_device
+from corpus import (
+    random_binary_device,
+    random_device,
+    refines_oracle,
+    two_block_joins_oracle,
+    with_coarsened_reads,
+)
 
 L2 = make_linear(2)
 L3 = make_linear(3)
@@ -312,3 +327,94 @@ def test_factor_binary_result_is_certified():
         got = factor_binary(dev)
         assert got is not None
         assert decide_equivalence(minimize(dev).device, product_of(got)) is not None
+
+
+def _criterion_11_products():
+    """The 50 products of acceptance criterion 11: one to three random
+    binaries of 3 or 4 states each."""
+    rng = random.Random(0xC11)
+    return [product_of([random_binary_device(rng, rng.choice((3, 4)))
+                        for _ in range(rng.randint(1, 3))]) for _ in range(50)]
+
+
+def test_lifts_match_the_all_pairs_oracle():
+    """_lifts finds exactly the distinct 2-block joins of read pairs, and each
+    read's bitmask names the joins it refines, on random devices, on copies
+    with every read's pairwise coarsenings added, and on the criterion-11
+    products."""
+    rng = random.Random(0x11F7)
+    randoms = [random_device(rng) for _ in range(300)]
+    products = _criterion_11_products()
+    small = [d for d in products if d.num_states <= 16]
+    devs = randoms + [with_coarsened_reads(d) for d in randoms[:100] + small] + products
+    found = 0
+    for dev in devs:
+        lifts, hits = _lifts(dev)
+        assert sorted(theta.labels for theta in lifts) == two_block_joins_oracle(dev)
+        assert hits == [sum(refines_oracle(r, theta) << k for k, theta in enumerate(lifts))
+                        for r in dev.partitions]
+        found += len(lifts)
+    assert found > len(devs)
+
+
+def test_one_join_block_keeps_the_device():
+    """A family join of one block leaves no perfect part to split off, and
+    the device itself is the core."""
+    dm = minimize(direct_product(L3, L2)).device
+    assert _restrict_to_first_join_block(dm) == (0, dm)
+    assert _restrict_to_first_join_block(dm)[1] is dm
+
+
+def _audit_combos():
+    """Every candidate combo the audit can form: one per splitting of 2 to 64
+    states into parts of at most MAX_FACTOR_STATES, per multiset of candidates."""
+    for n in range(2, MAX_CERTIFIED_STATES + 1):
+        for split in _splittings(n, config.MAX_FACTOR_STATES):
+            pools = [itertools.combinations_with_replacement(_binary_candidates(s), cnt)
+                     for s, cnt in sorted(Counter(split).items())]
+            for chosen in itertools.product(*pools):
+                yield [f for grp in chosen for f in grp]
+
+
+def test_read_profiles_predict_the_minimized_product():
+    """The audit skips a combo on profiles predicted from its factors, which is
+    exact only if they are those of the minimized product: checked on every
+    combo of up to 36 states and a seeded sample of the larger ones."""
+    combos = list(_audit_combos())
+    assert len(combos) == 1753
+    small = [c for c in combos if math.prod(f.num_states for f in c) <= 36]
+    large = [c for c in combos if math.prod(f.num_states for f in c) > 36]
+    for combo in small + random.Random(0x9F).sample(large, 150):
+        dm = minimize(product_of(combo)).device
+        assert _read_profiles(combo) == sorted(p.size_multiset() for p in dm.partitions)
+
+
+def test_audit_raises_when_the_probe_misses_a_factorization(monkeypatch):
+    """A probe that finds nothing where the enumeration finds a factorization
+    is a failed audit, not a None."""
+    dev = _criterion_11_products()[0]
+    monkeypatch.setattr(factorization, "_extract_candidate_factors", lambda dm: None)
+    assert factor_binary(dev) is None
+    with pytest.raises(RuntimeError, match="probe missed"):
+        factor_binary(dev, audit=True)
+
+
+def test_lift_discovery_refused_beyond_the_pair_memory_bound(monkeypatch):
+    """Over MAX_PAIR_BYTES the probe raises before any pair count, with no
+    all-pairs fallback; find_reduction still answers, as the generic search."""
+    def fail(_):
+        raise AssertionError("_pair_counts ran")
+
+    monkeypatch.setattr(factorization, "MAX_PAIR_BYTES", 1 << 20)
+    monkeypatch.setattr(factorization, "_pair_counts", fail)
+    rng = random.Random(0x3A9)
+    answers = []
+    for _ in range(6):
+        src = product_of([random_binary_device(rng, 3) for _ in range(2)])
+        dst = product_of([random_binary_device(rng, 3) for _ in range(2)])
+        with pytest.raises(LimitExceeded, match="pair counts"):
+            factor_binary(src)
+        red = find_reduction(src, dst)
+        assert red == find_reduction(src, dst, structural=False)
+        answers.append(red is None)
+    assert True in answers and False in answers

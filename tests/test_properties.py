@@ -5,15 +5,19 @@ depth-2 signature and the minimized reads against the lattice operations.
 The signature certificate is checked against a pair-by-pair oracle, and the
 lattice laws against the meet, join and refinement oracles, as is the
 free-lattice lookup behind every signature polynomial.  Reduction and
-equivalence verdicts are checked to ignore the state order, and minimizing a
-product to agree with the product of the minimized factors."""
+equivalence verdicts are checked to ignore the state order, minimizing a
+product to agree with the product of the minimized factors, and the binary
+factors factor_binary returns to multiply back to its input."""
 
 import functools
+import math
+import random
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from asdkit.devices import Device, direct_product
+from asdkit.devices import Device, direct_product, make_perfect, product_of
+from asdkit.factorization import factor_binary
 from asdkit.invariants import (
     _FREE,
     _free_value,
@@ -32,6 +36,7 @@ from corpus import (
     join_oracle,
     meet_oracle,
     perfectness_oracle,
+    random_binary_device,
     refines_oracle,
     signature_certificate_oracle,
 )
@@ -244,3 +249,31 @@ def test_state_order_changes_no_verdict(case):
     equivalent = decide_equivalence(a, b) is not None
     assert (decide_equivalence(pa, b) is not None) == equivalent
     assert (decide_equivalence(a, pb) is not None) == equivalent
+
+
+@st.composite
+def binary_products(draw) -> Device:
+    """Product of one to three random binaries of 3 or 4 states, times C2 when
+    that keeps it within 64 states, with its states in a drawn order."""
+    rng = random.Random(draw(st.integers(0, 2 ** 30)))
+    parts = [random_binary_device(rng, draw(st.sampled_from((3, 4))))
+             for _ in range(draw(st.integers(1, 3)))]
+    if math.prod(p.num_states for p in parts) <= 32 and draw(st.booleans()):
+        parts.append(make_perfect(2))
+    dev = product_of(parts)
+    return _permuted(dev, draw(st.permutations(range(dev.num_states))))
+
+
+@SETTINGS
+@given(binary_products(), devices())
+def test_factor_binary_round_trips(prod, dev):
+    """The returned factors multiply back to a device equivalent to the input:
+    always on a product of binaries, and on any small device it factors (the
+    empty product when the device minimizes to one state)."""
+    got = factor_binary(prod)
+    assert got is not None and decide_equivalence(product_of(got), prod) is not None
+    got = factor_binary(dev)
+    if got == []:
+        assert minimize(dev).device.num_states == 1
+    elif got is not None:
+        assert decide_equivalence(product_of(got), dev) is not None
