@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     try:
         doc, code = args.fn(args)
         _emit(doc, getattr(args, "output", None))
-    except (AsdError, OSError, ValueError) as e:
+    except (AsdError, OSError, RuntimeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return code

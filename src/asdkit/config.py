@@ -24,9 +24,6 @@ MAX_KREAD_PARTITIONS = 20000
 # backtracking searches: nodes explored before giving up
 SEARCH_NODE_BUDGET = 10_000_000
 
-# poly_signature: maximum expression depth
-MAX_SIGNATURE_DEPTH = 4
-
 # factor_binary audit: largest factor size in the exhaustive cross-check
 MAX_FACTOR_STATES = 4
 

@@ -25,13 +25,12 @@ from .partitions import GroundSet, Partition, _dense, product_ground
 
 
 def once_per_device(fn):
-    """Keep fn(dev, ...) in the immutable device's memo, per argument list; errors are not kept."""
+    """Keep fn(dev) in the immutable device's memo, keyed by fn; errors are not kept."""
     @functools.wraps(fn)
-    def memoized(dev, *args, **kwargs):
-        key = (fn, args, tuple(kwargs.items()))
-        if key not in dev._memo:
-            dev._memo[key] = fn(dev, *args, **kwargs)
-        return dev._memo[key]
+    def memoized(dev):
+        if fn not in dev._memo:
+            dev._memo[fn] = fn(dev)
+        return dev._memo[fn]
 
     return memoized
 

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .devices import Device, once_per_device
 from .errors import LimitExceeded
 from .minimization import minimize
-from .partitions import GroundSet, Join, Meet, Partition, Var, eval_poly, poly_depth
 
 INFINITE = math.inf
 
@@ -202,61 +200,32 @@ def _pair_counts(dev: Device) -> tuple[np.ndarray, np.ndarray]:
     return meets, joins
 
 
-def _signature_polys(depth: int):
-    """Structurally distinct 2-variable polynomials, shallow to deep: level d pairs two
-    distinct earlier ones, one of depth d - 1, so each has depth d and none repeats."""
-    levels: dict[int, list] = {1: [Var(1), Var(2)]}
-    for d in range(2, depth + 1):
-        pool = [p for dd in range(1, d) for p in levels[dd]]
-        levels[d] = [ctor(a, b) for ia, a in enumerate(pool) for b in pool[ia + 1:]
-                     if max(poly_depth(a), poly_depth(b)) == d - 1 for ctor in (Meet, Join)]
-    return [Var(1)] + [p for d in range(2, depth + 1) for p in levels[d]]
-
-
-_FREE = tuple(Partition.from_raw(GroundSet("abc"), r)  # x = {ab|c}, y = {a|bc}, x meet y, x join y
-              for r in ((0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 0, 0)))
-
-
-def _free_value(poly) -> int:
-    """Index of the _FREE entry the 2-variable polynomial equals.  The four are distinct,
-    so they form the free lattice on two generators, which has no other element."""
-    return _FREE.index(eval_poly(poly, _FREE[:2]))
-
-
-def _check_signature_bytes(dev: Device, depth: int = 2) -> None:
-    """Raise LimitExceeded when dev's signature at depth would exceed MAX_PAIR_BYTES.
+def _check_signature_bytes(dev: Device) -> None:
+    """Raise LimitExceeded when dev's signature would exceed MAX_PAIR_BYTES.
 
     The estimate is the pair counts plus the sort's int64 block-count
     column, lexsort order and sorted column and its two bool masks: 26 bytes
-    per pair of reads; from depth 3 on, the int64 |rho| column adds 8 more.
+    per pair of reads.
     """
     q = dev.num_partitions
-    if _pair_counts_bytes(dev) + (26 + 8 * (depth > 2)) * q * q > MAX_PAIR_BYTES:
+    if _pair_counts_bytes(dev) + 26 * q * q > MAX_PAIR_BYTES:
         raise LimitExceeded(f"signature of {q} reads would take over {MAX_PAIR_BYTES >> 20} MiB")
 
 
 @once_per_device
-def poly_signature(dev: Device, depth: int = 2) -> tuple:
+def poly_signature(dev: Device) -> tuple:
     """Multiset of per-pair block-count profiles; equal on equivalent minimal devices.
 
-    A pair's profile holds the block counts of _signature_polys(depth) on it,
-    at the default depth (|pi|, |pi meet rho|, |pi join rho|).  The free
-    lattice on two generators has just the four elements of _FREE, so each
-    polynomial is pi, rho, pi meet rho or pi join rho on every pair: exactly
-    a column of the block counts or of _pair_counts.  The multiset is a sorted
-    tuple of (profile, count) pairs, one per distinct profile.  Raises
-    LimitExceeded as _check_signature_bytes does.
+    A pair's profile is (|pi|, |pi meet rho|, |pi join rho|): the block
+    counts of pi and of the two depth-2 polynomials on the pair.  The
+    multiset is a sorted tuple of (profile, count) pairs, one per distinct
+    profile.  Raises LimitExceeded as _check_signature_bytes does.
     """
-    if depth < 2 or depth > config.MAX_SIGNATURE_DEPTH:
-        raise LimitExceeded(f"signature depth {depth} outside 2..{config.MAX_SIGNATURE_DEPTH}")
-    _check_signature_bytes(dev, depth)
+    _check_signature_bytes(dev)
     q = dev.num_partitions
     meets, joins = _pair_counts(dev)
     nb = np.array([p.num_blocks for p in dev.partitions], dtype=np.int64)
-    picks = [_free_value(e) for e in _signature_polys(depth)]
-    used = list(dict.fromkeys(picks))  # profiles sort as their columns do in first-use order
-    four = (np.repeat(nb, q), np.tile(nb, q) if 1 in used else None, meets.ravel(), joins.ravel())
-    cols = [four[k] for k in used]
+    cols = (np.repeat(nb, q), meets.ravel(), joins.ravel())
     order = np.lexsort(cols[::-1])  # last key is primary: rows sorted as tuples
     changed = np.zeros(q * q - 1, dtype=bool)  # sorted row i + 1 differs from row i
     for c in cols:
@@ -265,8 +234,7 @@ def poly_signature(dev: Device, depth: int = 2) -> tuple:
         del s  # before the next column is gathered
     starts = np.r_[0, np.flatnonzero(changed) + 1]
     counts = np.diff(starts, append=q * q).tolist()
-    rows = zip(*(c[order[starts]].tolist() for c in cols))
-    return tuple(zip((tuple(row[used.index(k)] for k in picks) for row in rows), counts))
+    return tuple(zip(zip(*(c[order[starts]].tolist() for c in cols)), counts))
 
 
 def _signature_certificate(a: Device, b: Device) -> dict | None:

@@ -305,12 +305,6 @@ class Join(LatticePoly):
     right: LatticePoly
 
 
-def poly_depth(poly: LatticePoly) -> int:
-    if isinstance(poly, Var):
-        return 1
-    return 1 + max(poly_depth(poly.left), poly_depth(poly.right))
-
-
 def eval_poly(poly: LatticePoly, args: Sequence[Partition]) -> Partition:
     """Evaluate a lattice polynomial on partitions of a common ground set."""
     if isinstance(poly, Var):

@@ -218,16 +218,20 @@ def refines_oracle(p: Partition, q: Partition) -> bool:
     return True
 
 
+def poly_signature_oracle(dev: Device):
+    """poly_signature(dev) recomputed pair by pair: (|p|, |p meet r|, |p join r|)
+    over every ordered read pair, with the meet and join oracles above, and
+    the profiles counted."""
+    profiles = Counter((p.num_blocks, len(set(meet_oracle(p, r))), len(set(join_oracle(p, r))))
+                       for p in dev.partitions for r in dev.partitions)
+    return tuple(sorted(profiles.items()))
+
+
 def signature_certificate_oracle(a: Device, b: Device):
     """Least (|p|, |p meet r|, |p join r|) whose count over the ordered read
     pairs differs between the minimized devices, in the certificate's form,
     or None when every count agrees.  Counts every pair with the oracles above."""
-    def counts(dev):
-        parts = minimize(dev).device.partitions
-        return Counter((p.num_blocks, len(set(meet_oracle(p, r))), len(set(join_oracle(p, r))))
-                       for p in parts for r in parts)
-
-    ca, cb = counts(a), counts(b)
+    ca, cb = (Counter(dict(poly_signature_oracle(minimize(d).device))) for d in (a, b))
     diff = [prof for prof in set(ca) | set(cb) if ca[prof] != cb[prof]]
     if not diff:
         return None
@@ -235,11 +239,10 @@ def signature_certificate_oracle(a: Device, b: Device):
     return {"depth": 2, "profile": list(least), "left_count": ca[least], "right_count": cb[least]}
 
 
-def poly_signature_oracle(dev: Device, depth: int):
-    """poly_signature(dev, depth) recomputed pair by pair: the structurally
-    distinct two-variable polynomials up to depth, generated here shallow to
-    deep, each evaluated on every ordered read pair with the meet and join
-    oracles, and the block-count profiles counted."""
+def two_variable_polys(depth: int) -> list:
+    """The structurally distinct two-variable lattice polynomials up to depth,
+    shallow to deep: level d pairs two distinct earlier ones, one of them of
+    depth d - 1."""
     levels = {1: [Var(1), Var(2)]}
     depth_of = {Var(1): 1, Var(2): 1}
     for d in range(2, depth + 1):
@@ -253,24 +256,18 @@ def poly_signature_oracle(dev: Device, depth: int):
                     if e not in depth_of:
                         depth_of[e] = d
                         levels[d].append(e)
-    polys = [Var(1)] + [e for d in range(2, depth + 1) for e in levels[d]]
+    return [e for d in range(1, depth + 1) for e in levels[d]]
 
-    def value(e, pair, memo):  # a stand-in with the labels the oracles read
-        if e not in memo:
-            if isinstance(e, Var):
-                memo[e] = SimpleNamespace(labels=pair[e.index - 1].labels)
-            else:
-                op = meet_oracle if isinstance(e, Meet) else join_oracle
-                labels = op(value(e.left, pair, memo), value(e.right, pair, memo))
-                memo[e] = SimpleNamespace(labels=labels)
-        return memo[e]
 
-    profiles = Counter()
-    for p in dev.partitions:
-        for r in dev.partitions:
-            memo: dict = {}
-            profiles[tuple(len(set(value(e, (p, r), memo).labels)) for e in polys)] += 1
-    return tuple(sorted(profiles.items()))
+def eval_poly_oracle(e, pair) -> tuple[int, ...]:
+    """Labels of the polynomial e on the partition pair, by recursion over the
+    meet and join oracles."""
+    if isinstance(e, Var):
+        return pair[e.index - 1].labels
+    op = meet_oracle if isinstance(e, Meet) else join_oracle
+    # a stand-in with the labels the oracles read
+    left, right = (SimpleNamespace(labels=eval_poly_oracle(x, pair)) for x in (e.left, e.right))
+    return op(left, right)
 
 
 def least_reduction_oracle(src: Device, dst: Device):

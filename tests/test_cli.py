@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asdkit import cli, invariants, minimization
+from asdkit import cli, factorization, invariants, minimization
 from asdkit.devices import Device, direct_product, make_linear, product_of
 from asdkit.graphs import graph_device, make_graph
 from asdkit.reduction import find_reduction
@@ -260,6 +260,17 @@ def test_factor_command(files, capsys):
     assert cli.main(["factor", files("c3.json")]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out == {"reason": "not a product of binary devices", "audit": "skipped"}
+
+
+def test_internal_error_exits_2_not_1(files, monkeypatch, capsys):
+    """With a blind probe the audit finds the factorization the probe missed
+    and raises RuntimeError: exit 2 with the error on stderr, not the exit 1
+    of a no."""
+    monkeypatch.setattr(factorization, "_extract_candidate_factors", lambda dm: None)
+    assert cli.main(["factor", files("l2sq.json"), "--audit"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: uniqueness audit found a factorization the probe missed\n"
 
 
 def test_factor_perfect_command(files, capsys):

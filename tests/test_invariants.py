@@ -152,31 +152,19 @@ def test_poly_signature():
     # single-read devices with matching block counts are indistinguishable
     assert poly_signature(make_perfect(3)) == poly_signature(
         random_equivalent(make_perfect(3), seed=1)[0])
-    with pytest.raises(LimitExceeded):
-        poly_signature(L2, depth=9)
-
-
-def test_poly_signature_depth_three():
-    dm = minimize(direct_product(L2, L3)).device
-    for seed in (1, 2):
-        e, _ = random_equivalent(dm, seed=seed)
-        assert poly_signature(e, depth=3) == poly_signature(dm, depth=3)
-    other = minimize(make_projective(5)).device
-    assert poly_signature(other) != poly_signature(dm)
-    assert poly_signature(other, depth=3) != poly_signature(dm, depth=3)
-    # depth 3 extends each depth-2 profile with the deeper polynomials
-    assert len(poly_signature(dm, depth=3)[0][0]) > 3
+    assert poly_signature(minimize(make_projective(5)).device) != poly_signature(
+        minimize(direct_product(L2, L3)).device)
+    with pytest.raises(TypeError):  # the depth is fixed at 2
+        poly_signature(L2, depth=2)
 
 
 def test_poly_signature_matches_the_pair_by_pair_oracle():
-    """Profiles read off the four pair counts equal every polynomial evaluated
-    on every ordered read pair: 300 seeded devices at depths 2 and 3, the
-    first 30 of them at depth 4 too."""
+    """Profiles read off the pair counts equal (|p|, |p meet r|, |p join r|)
+    counted on every ordered read pair with the oracles: 300 seeded devices."""
     rng = random.Random(11)
-    for i in range(300):
+    for _ in range(300):
         dev = random_device(rng)
-        for depth in (2, 3, 4) if i < 30 else (2, 3):
-            assert poly_signature(dev, depth=depth) == poly_signature_oracle(dev, depth)
+        assert poly_signature(dev) == poly_signature_oracle(dev)
 
 
 def _assert_pair_counts_exact(dev):
@@ -276,23 +264,6 @@ def test_signature_peak_within_its_estimate():
         assert peak <= _pair_counts_bytes(dev) + 26 * reads ** 2 <= 2 * peak
 
 
-def test_deep_signature_peak_within_its_estimate():
-    """From depth 3 on the |rho| column adds 8 bytes per pair of reads: the
-    pair counts' estimate plus 34 bytes per pair bounds the traced peak of a
-    fresh depth-3 signature of 2,000 two-block reads, where the sort is the
-    peak, and stays within twice it."""
-    reads = 2000
-    dev = two_block_reads(random.Random(5), reads)
-    tracemalloc.start()
-    try:
-        poly_signature(dev, depth=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak > _pair_counts_bytes(dev)
-    assert peak <= _pair_counts_bytes(dev) + 34 * reads ** 2 <= 2 * peak
-
-
 def test_signature_refused_beyond_its_memory_bound(monkeypatch):
     """3,000 two-block reads on 16 states (a JSON file of a few hundred kB)
     would take about 440 MiB; the signature refuses before any pair count."""
@@ -303,9 +274,8 @@ def test_signature_refused_beyond_its_memory_bound(monkeypatch):
         raise AssertionError("_pair_counts ran")
 
     monkeypatch.setattr(invariants, "_pair_counts", fail)
-    for depth in (2, 3):
-        with pytest.raises(LimitExceeded):
-            poly_signature(dev, depth=depth)
+    with pytest.raises(LimitExceeded):
+        poly_signature(dev)
 
 
 def test_certificate_read_off_the_histograms_without_pair_counts(monkeypatch):
@@ -349,8 +319,10 @@ def test_memo_shares_results_and_skips_errors():
     assert minimize(dev) is minimize(dev)
     copy = Device(dev.states, dev.partitions)
     assert copy == dev and minimize(copy) is not minimize(dev)
-    keys = set(dev._memo)
+    big = two_block_reads(random.Random(6), 3000)  # refused before any pair count
+    big.meet_of_all()
+    keys = set(big._memo)
     for _ in range(2):
         with pytest.raises(LimitExceeded):
-            poly_signature(dev, depth=9)
-    assert set(dev._memo) == keys
+            poly_signature(big)
+    assert set(big._memo) == keys

@@ -3,11 +3,11 @@ perfectness index, pair counts and polynomial signature; the index is also
 checked against an exhaustive oracle and the product rule, and the meet, the
 depth-2 signature and the minimized reads against the lattice operations.
 The signature certificate is checked against a pair-by-pair oracle, and the
-lattice laws against the meet, join and refinement oracles, as is the
-free-lattice lookup behind every signature polynomial.  Reduction and
-equivalence verdicts are checked to ignore the state order, minimizing a
-product to agree with the product of the minimized factors, and the binary
-factors factor_binary returns to multiply back to its input."""
+lattice laws and every two-variable polynomial up to depth 4 against the
+meet, join and refinement oracles.  Reduction and equivalence verdicts are
+checked to ignore the state order, minimizing a product to agree with the
+product of the minimized factors, and the binary factors factor_binary
+returns to multiply back to its input."""
 
 import functools
 import math
@@ -19,11 +19,8 @@ from hypothesis import given, settings, strategies as st
 from asdkit.devices import Device, direct_product, make_perfect, product_of
 from asdkit.factorization import factor_binary
 from asdkit.invariants import (
-    _FREE,
-    _free_value,
     _pair_counts,
     _signature_certificate,
-    _signature_polys,
     perfectness_index,
     poly_signature,
 )
@@ -33,12 +30,14 @@ from asdkit.reduction import decide_equivalence, find_reduction, random_equivale
 from asdkit.witnesses import verify_reduction
 
 from corpus import (
+    eval_poly_oracle,
     join_oracle,
     meet_oracle,
     perfectness_oracle,
     random_binary_device,
     refines_oracle,
     signature_certificate_oracle,
+    two_variable_polys,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -69,7 +68,7 @@ def _memoized_values(dev: Device) -> tuple:
     res = minimize(dev)
     meets, joins = _pair_counts(dev)
     return (dev.meet_of_all(), res.device, res.to_min, res.from_min, perfectness_index(dev),
-            meets.tolist(), joins.tolist(), poly_signature(dev), poly_signature(dev, depth=3))
+            meets.tolist(), joins.tolist(), poly_signature(dev))
 
 
 @SETTINGS
@@ -116,29 +115,21 @@ def partition_pairs(draw) -> tuple[Partition, Partition]:
 
 @SETTINGS
 @given(partition_pairs())
-def test_every_signature_polynomial_is_one_of_the_four_free_lattice_elements(pair):
-    """x, y, x meet y and x join y of the witness pair are distinct, so they
-    are the free lattice on two generators; on any pair each depth-4
-    polynomial is then the one of p, r, p meet r and p join r that
-    _free_value names."""
-    x, y = _FREE[:2]
-    assert _FREE[2:] == (x.meet(y), x.join(y)) and len(set(_FREE)) == 4
-    p, r = pair
-    four = (p.labels, r.labels, meet_oracle(p, r), join_oracle(p, r))
-    for e in _signature_polys(4):
-        assert eval_poly(e, pair).labels == four[_free_value(e)]
+def test_eval_poly_matches_the_oracle_up_to_depth_four(pair):
+    for e in two_variable_polys(4):
+        assert eval_poly(e, pair).labels == eval_poly_oracle(e, pair)
 
 
 @SETTINGS
 @given(devices(), devices(), st.integers(0, 2 ** 30))
 def test_minimizing_a_product_is_the_product_of_the_minimized_factors(a, b, seed):
     """Metamorphic: minimize(A x B) is equivalent to minimize(A) x minimize(B),
-    and a relabelled copy of it keeps its depth-3 signature."""
+    and a relabelled copy of it keeps its signature."""
     whole = minimize(direct_product(a, b)).device
     factors = direct_product(minimize(a).device, minimize(b).device)
     assert decide_equivalence(whole, factors) is not None
     e, _ = random_equivalent(whole, seed)
-    assert poly_signature(e, depth=3) == poly_signature(whole, depth=3)
+    assert poly_signature(e) == poly_signature(whole)
 
 
 @SETTINGS
