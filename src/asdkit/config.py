@@ -12,7 +12,7 @@ MAX_PROJECTIVE_DIMENSION = 10
 # make_linear: word length n
 MAX_LINEAR_DIMENSION = 8
 
-# direct products: state count of the result
+# direct products and perfect devices: state count of the result
 MAX_PRODUCT_STATES = 4096
 
 # any constructed device: partition count of the result

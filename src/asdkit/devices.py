@@ -163,6 +163,8 @@ def make_perfect(m: int) -> Device:
     """The m-state device whose only partition is the identity."""
     if m < 1:
         raise EmptyStateSpace("need at least one state")
+    if m > config.MAX_PRODUCT_STATES:
+        raise LimitExceeded(f"m={m} exceeds cap {config.MAX_PRODUCT_STATES}")
     ground = GroundSet(str(i) for i in range(1, m + 1))
     return Device(ground, [Partition.identity(ground)], name=f"C{m}")
 

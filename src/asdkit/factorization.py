@@ -145,7 +145,8 @@ def extract_index_partition(red: Reduction, ds, es) -> IndexPartition:
     For each right coordinate j, fix the remaining coordinates, vary E_j, and
     pull the witness states back through phi: exactly one left coordinate
     must move, and which one must not depend on the fixed context.  Either
-    failure raises NonUniqueTau, as does a witness that does not verify.  A
+    failure raises NonUniqueTau, as does a witness that does not verify; a
+    wrongly shaped one raises DomainMismatch from verify_reduction.  A
     verified witness is a bijection: the product of state-minimal factors is
     state-minimal, so phi is injective, and the state counts are equal.
     """

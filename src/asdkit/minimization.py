@@ -57,13 +57,15 @@ def state_quotient(dev: Device) -> tuple[Device, Partition]:
     """(quotient, meet of all reads): every read restricted to each meet class's least state.
 
     A twin repeats its least twin's labels, so the restricted reads stay
-    distinct and in order.  A state-minimal device is its own quotient.
+    dense, distinct and in order.  A state-minimal device is its own quotient.
     """
     meet = dev.meet_of_all()
     if meet.is_identity:
         return dev, meet
-    # a block's first state is its class's least state, so labels stay first-occurrence dense
-    reps = [block[0] for block in meet.blocks]
+    reps: list[int] = []  # a class's least state is where its label first occurs
+    for i, b in enumerate(meet.labels):
+        if b == len(reps):
+            reps.append(i)
     ground = GroundSet(dev.states.elements[i] for i in reps)
     return Device(ground, [Partition(ground, tuple([p.labels[i] for i in reps]), p.num_blocks)
                            for p in dev.partitions]), meet
@@ -84,7 +86,7 @@ def minimize(dev: Device) -> MinimizationResult:
                      next(k for k, q in enumerate(mindev.partitions) if q.refines(r))
                      for i, r in enumerate(reduced))
     to_min = Reduction(tuple(meet.labels), to_alpha)
-    from_min = Reduction(tuple(block[0] for block in meet.blocks), tuple(kept))
+    from_min = Reduction(tuple(map(dev.states.index_of, quot.states)), tuple(kept))
 
     if not verify_reduction(dev, mindev, to_min) or not verify_reduction(mindev, dev, from_min):
         raise RuntimeError("internal: minimization witness failed verification")

@@ -1,7 +1,7 @@
 """Set partitions over a fixed finite ground set, plus the lattice operations.
 
-A partition is stored as a dense block labeling: ``labels[i]`` is the block id
-of the i-th ground element, with blocks numbered in order of first occurrence.
+A partition is its dense block labeling and nothing else: ``labels[i]`` is the
+block id of the i-th ground element, blocks numbered by first occurrence.
 That numbering is exactly the canonical form (blocks ordered by their minimum
 element index, elements ascending within a block), so two partitions of the
 same ground set are equal iff their label tuples are equal.
@@ -93,14 +93,13 @@ def product_ground(g1: GroundSet, g2: GroundSet) -> GroundSet:
 class Partition:
     """A set partition of a :class:`GroundSet` in canonical dense-label form."""
 
-    __slots__ = ("ground", "labels", "num_blocks", "_blocks", "_hash")
+    __slots__ = ("ground", "labels", "num_blocks", "_hash")
 
     def __init__(self, ground: GroundSet, labels: tuple[int, ...], num_blocks: int):
         # internal: labels must already be dense first-occurrence ids
         self.ground = ground
         self.labels = labels
         self.num_blocks = num_blocks
-        self._blocks: tuple[tuple[int, ...], ...] | None = None
         self._hash = hash((ground._hash, labels))
 
     # ------------------------------------------------------------------
@@ -162,19 +161,12 @@ class Partition:
     # ------------------------------------------------------------------
     # inspection
 
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Blocks as tuples of element indices, in canonical order."""
-        if self._blocks is None:
-            acc: list[list[int]] = [[] for _ in range(self.num_blocks)]
-            for i, b in enumerate(self.labels):
-                acc[b].append(i)
-            self._blocks = tuple(tuple(b) for b in acc)
-        return self._blocks
-
     def blocks_as_labels(self) -> list[list[str]]:
-        elems = self.ground.elements
-        return [[elems[i] for i in block] for block in self.blocks]
+        """Blocks as lists of state labels, in canonical order, grouped in one pass."""
+        out: list[list[str]] = [[] for _ in range(self.num_blocks)]
+        for lab, b in zip(self.ground.elements, self.labels):
+            out[b].append(lab)
+        return out
 
     def block_sizes(self) -> tuple[int, ...]:
         sizes = [0] * self.num_blocks

@@ -173,6 +173,29 @@ def block_list_error_oracle(states, blocks):
     return None
 
 
+def label_blocks_oracle(p: Partition) -> list[list[str]]:
+    """p's blocks as lists of state labels: for each state no earlier state
+    shares a label with, every state with its label, in ground order."""
+    states, labels = p.ground.elements, p.labels
+    return [[states[y] for y in range(len(labels)) if labels[y] == labels[x]]
+            for x in range(len(labels)) if labels[x] not in labels[:x]]
+
+
+def least_states_oracle(dev: Device) -> list[int]:
+    """Indices of the states that no earlier state matches on every read:
+    the least state of each class of the meet of all reads, ascending."""
+    rows = [p.labels for p in dev.partitions]
+    return [x for x in range(dev.num_states)
+            if not any(all(r[y] == r[x] for r in rows) for y in range(x))]
+
+
+def product_oracle(p: Partition, q: Partition) -> tuple[int, ...]:
+    """Dense labels of the read p x q on the row-major product of their ground
+    sets: (x, z) and (y, w) together iff p keeps x, y and q keeps z, w together."""
+    ids: dict = {}
+    return tuple(ids.setdefault((a, b), len(ids)) for a in p.labels for b in q.labels)
+
+
 def meet_oracle(p: Partition, q: Partition) -> tuple[int, ...]:
     """Dense labels of the meet: same block iff together in both."""
     pairs = list(zip(p.labels, q.labels))

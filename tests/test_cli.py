@@ -314,6 +314,7 @@ def test_errors_exit_two(files, capsys, tmp_path):
                                        "partitions": [[["a", "b"], ["c"]]]}))
     for argv in (["show", files("nope.json")],
                  ["gen", "cm", "0"],
+                 ["gen", "cm", "4097"],  # one state over config.MAX_PRODUCT_STATES
                  ["gen", "pn", "0"],
                  ["gen", "lnk", "2", "3"],
                  ["gen", "graph-device", edgeless],

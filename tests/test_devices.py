@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -89,6 +90,19 @@ def test_make_perfect():
     assert c4.partitions[0].is_identity
     with pytest.raises(EmptyStateSpace):
         make_perfect(0)
+
+
+def test_make_perfect_is_capped_before_it_builds_states():
+    cap = config.MAX_PRODUCT_STATES
+    assert make_perfect(cap).num_states == cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded):
+            make_perfect(cap + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_make_projective():

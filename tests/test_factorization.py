@@ -17,7 +17,13 @@ from asdkit.devices import (
     product_of,
 )
 from asdkit import config, factorization
-from asdkit.errors import HypothesisViolation, LimitExceeded, NonUniqueTau, PreconditionMismatch
+from asdkit.errors import (
+    DomainMismatch,
+    HypothesisViolation,
+    LimitExceeded,
+    NonUniqueTau,
+    PreconditionMismatch,
+)
 from asdkit.factorization import (
     MAX_CERTIFIED_STATES,
     _binary_candidates,
@@ -190,6 +196,11 @@ def test_extract_rejects_a_non_injective_phi_as_unverified():
     assert len(set(phi)) < len(phi)
     with pytest.raises(NonUniqueTau, match="witness does not verify"):
         extract_index_partition(Reduction(phi, red.alpha), [L4, L2], [L4, L2])
+
+
+def test_extract_rejects_a_misshaped_witness_with_domain_mismatch():
+    with pytest.raises(DomainMismatch, match="phi has 3 entries for 4 states"):
+        extract_index_partition(Reduction((0, 1, 2), (0, 1, 2)), [L2], [L2])
 
 
 def test_factor_binary_recovers_known_product():

@@ -7,7 +7,10 @@ lattice laws and every two-variable polynomial up to depth 4 against the
 meet, join and refinement oracles.  Reduction and equivalence verdicts are
 checked to ignore the state order, minimizing a product to agree with the
 product of the minimized factors, and the binary factors factor_binary
-returns to multiply back to its input."""
+returns to multiply back to its input.  Label blocks and the least state of
+each meet class are checked against oracles on devices with twin states and
+on identity meets; composed witnesses, and witnesses for A x C <= B x C built
+factor-wise from one for A <= B, are checked to verify."""
 
 import functools
 import math
@@ -24,20 +27,25 @@ from asdkit.invariants import (
     perfectness_index,
     poly_signature,
 )
-from asdkit.minimization import minimize
+from asdkit.minimization import minimize, state_quotient
 from asdkit.partitions import GroundSet, Partition, eval_poly
 from asdkit.reduction import decide_equivalence, find_reduction, random_equivalent
-from asdkit.witnesses import verify_reduction
+from asdkit.witnesses import Reduction, compose, verify_reduction
 
 from corpus import (
     eval_poly_oracle,
     join_oracle,
+    label_blocks_oracle,
+    least_states_oracle,
     meet_oracle,
     perfectness_oracle,
+    product_oracle,
     random_binary_device,
+    reducible_pair,
     refines_oracle,
     signature_certificate_oracle,
     two_variable_polys,
+    with_twins,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -268,3 +276,71 @@ def test_factor_binary_round_trips(prod, dev):
         assert minimize(dev).device.num_states == 1
     elif got is not None:
         assert decide_equivalence(product_of(got), dev) is not None
+
+
+@st.composite
+def twinned_devices(draw) -> Device:
+    """A drawn device with up to one twin per state, each placed after its original."""
+    dev = draw(devices())
+    rng = random.Random(draw(st.integers(0, 2 ** 30)))
+    return with_twins(rng, dev, draw(st.integers(0, dev.num_states)))
+
+
+@st.composite
+def identity_meets(draw) -> Device:
+    """A product of two minimized devices, so no two states agree on every
+    read, with its states in a drawn order."""
+    dev = direct_product(minimize(draw(devices())).device, minimize(draw(devices())).device)
+    return _permuted(dev, draw(st.permutations(range(dev.num_states))))
+
+
+@SETTINGS
+@given(st.one_of(twinned_devices(), identity_meets()))
+def test_label_blocks_and_least_states_match_the_oracles(dev):
+    for p in dev.partitions + (dev.meet_of_all(),):
+        assert p.blocks_as_labels() == label_blocks_oracle(p)
+    least = least_states_oracle(dev)
+    quot, _ = state_quotient(dev)
+    assert quot.states.elements == tuple(dev.states.elements[x] for x in least)
+    assert minimize(dev).from_min.phi == tuple(least)
+
+
+@SETTINGS
+@given(devices(), devices(), st.integers(0, 2 ** 30))
+def test_composed_witnesses_verify(d, c, seed):
+    """Metamorphic: D <= DxC by x -> (x, first state of C), each read paired
+    with C's first read.  Composed with DxC's minimization witnesses and a
+    relabelling of its minimum, every prefix of the chain verifies."""
+    dc = direct_product(d, c)
+    slot = {p.labels: j for j, p in enumerate(dc.partitions)}
+    red = Reduction(tuple(x * c.num_states for x in range(d.num_states)),
+                    tuple(slot[product_oracle(p, c.partitions[0])] for p in d.partitions))
+    assert verify_reduction(d, dc, red)
+    res = minimize(dc)
+    relabel, (fwd, back) = random_equivalent(res.device, seed)
+    for dst, step in ((res.device, res.to_min), (relabel, fwd), (res.device, back),
+                      (dc, res.from_min)):
+        red = compose(red, step)
+        assert verify_reduction(d, dst, red)
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 30), devices())
+def test_reduction_lifts_to_products_factor_wise(seed, c):
+    """Metamorphic: from a witness for A <= B, phi(x, z) = (phi(x), z) in
+    row-major order, with each read pi x rho sent to alpha(pi) x rho, is a
+    witness for A x C <= B x C.  Devices sort their reads, so each product
+    read is found by its label tuple."""
+    a, b = reducible_pair(random.Random(seed))
+    red = find_reduction(a, b)
+    assert red is not None and verify_reduction(a, b, red)
+    ac, bc = direct_product(a, c), direct_product(b, c)
+    slot_ac = {p.labels: j for j, p in enumerate(ac.partitions)}
+    slot_bc = {p.labels: j for j, p in enumerate(bc.partitions)}
+    alpha = [None] * ac.num_partitions
+    for pi, j in zip(a.partitions, red.alpha):
+        for rho in c.partitions:
+            alpha[slot_ac[product_oracle(pi, rho)]] = slot_bc[product_oracle(b.partitions[j], rho)]
+    n = c.num_states
+    phi = tuple(red.phi[x] * n + z for x in range(a.num_states) for z in range(n))
+    assert verify_reduction(ac, bc, Reduction(phi, tuple(alpha)))
