@@ -5,7 +5,7 @@ non-perfect state-minimal binary devices by searching over maps from right
 factors to left factors, so one product-sized question collapses to a
 handful of factor-sized ones.
 extract_index_partition recovers the same grouping from an explicit witness
-by watching which left coordinate moves as a right coordinate varies.
+by checking which left coordinate moves at every step of each right one.
 factor_binary finds the binary factors of a device when they exist, with an
 optional uniqueness audit, and factor_perfect splits a perfect device into
 prime perfect parts.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections import Counter
 
 import numpy as np
@@ -142,46 +141,31 @@ def _mixed_radix(sizes: list[int]) -> list[int]:
 def extract_index_partition(red: Reduction, ds, es) -> IndexPartition:
     """Recover the index partition from a verified witness for ×Ds <= ×Es.
 
-    For each right coordinate j, fix the remaining coordinates, vary E_j, and
-    pull the witness states back through phi: exactly one left coordinate
-    must move, and which one must not depend on the fixed context.  Either
-    failure raises NonUniqueTau, as does a witness that does not verify; a
-    wrongly shaped one raises DomainMismatch from verify_reduction.  A
-    verified witness is a bijection: the product of state-minimal factors is
-    state-minimal, so phi is injective, and the state counts are equal.
+    A verified witness is a bijection: the product of state-minimal factors
+    is state-minimal, so phi is injective, and the state counts are equal.
+    For each right coordinate j, every step y -> y + w_j of its digit is
+    pulled back through phi.  The two states differ, so some left coordinate
+    moves; exactly one may, the same at every step, and that one is tau(j).
+    Anything else raises NonUniqueTau, as does a witness that does not
+    verify; a wrongly shaped one raises DomainMismatch from verify_reduction.
+    No left factor is left unfed: the steps connect all of ×Es and phi^-1 is
+    onto ×Ds, so a left coordinate that no tau(j) names would be constant,
+    yet a non-perfect binary factor has at least 3 states.
     """
     ds, es, sd, se = _check_factors(ds, es)
-    prod_d = product_of(ds)
-    prod_e = product_of(es)
-    if not verify_reduction(prod_d, prod_e, red):
+    if not verify_reduction(product_of(ds), product_of(es), red):
         raise NonUniqueTau("witness does not verify")
-    inv = _inverse(red.phi)
-    m, n = len(ds), len(es)
-    wd = _mixed_radix(sd)
-    we = _mixed_radix(se)
-
-    def tau_at(j: int, ctx: list[int]) -> int:
-        base = sum(ctx[k] * we[k] for k in range(n) if k != j)
-        seen = [inv[base + v * we[j]] for v in range(se[j])]
-        moved = [i for i in range(m) if len({(x // wd[i]) % sd[i] for x in seen}) > 1]
-        if len(moved) != 1:
-            raise NonUniqueTau(
-                f"varying right coordinate {j + 1} moves {len(moved)} left coordinates"
-            )
-        return moved[0]
-
-    rng = random.Random(0x5EED)
+    wd, we = _mixed_radix(sd), _mixed_radix(se)
+    left = [[x // w % s for w, s in zip(wd, sd)] for x in _inverse(red.phi)]
     tau = []
-    for j in range(n):
-        ctx = [rng.randrange(se[k]) for k in range(n)]
-        t0 = tau_at(j, [0] * n)
-        if t0 != tau_at(j, ctx):
-            raise NonUniqueTau(f"tau({j + 1}) depends on the fixed context")
-        tau.append(t0)
-    out = _index_partition(tau, m)
-    if any(not grp for grp in out):
-        raise NonUniqueTau("some left factor is fed by no right coordinate")
-    return out
+    for j, (w, s) in enumerate(zip(we, se)):
+        moved = {i for y, xs in enumerate(left) if y // w % s < s - 1
+                 for i, (a, b) in enumerate(zip(xs, left[y + w])) if a != b}
+        if len(moved) != 1:
+            raise NonUniqueTau(f"steps of right coordinate {j + 1} move left coordinates "
+                               f"{sorted(i + 1 for i in moved)}")
+        tau.append(moved.pop())
+    return _index_partition(tau, len(ds))
 
 
 # ----------------------------------------------------------------------
@@ -446,9 +430,12 @@ def factor_perfect(m: int) -> list[tuple[int, int]]:
 
     Returns (prime, multiplicity) pairs in increasing prime order; for
     m <= MAX_CERTIFIED_STATES the claim C_m == ×C_p^a is certified by decide_equivalence.
+    m above config.MAX_PRODUCT_STATES, where no C_m is built, raises LimitExceeded.
     """
     if m < 2:
         raise PreconditionMismatch("m must be at least 2")
+    if m > config.MAX_PRODUCT_STATES:
+        raise LimitExceeded(f"m={m} exceeds cap {config.MAX_PRODUCT_STATES}")
     out = []
     rest = m
     d = 2

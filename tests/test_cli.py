@@ -315,6 +315,7 @@ def test_errors_exit_two(files, capsys, tmp_path):
     for argv in (["show", files("nope.json")],
                  ["gen", "cm", "0"],
                  ["gen", "cm", "4097"],  # one state over config.MAX_PRODUCT_STATES
+                 ["factor-perfect", "100000000000000000039"],  # a 21-digit prime, over the cap
                  ["gen", "pn", "0"],
                  ["gen", "lnk", "2", "3"],
                  ["gen", "graph-device", edgeless],

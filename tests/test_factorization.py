@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -188,6 +189,21 @@ def test_extract_rejects_corrupted_phi():
         extract_index_partition(Reduction(tuple(phi), red.alpha), [L4, L2], [L4, L2])
 
 
+def test_extract_checks_every_coordinate_step(monkeypatch):
+    """Swapping states (00,001) and (00,010) of the identity on L2 x L3
+    leaves every step at context 0 moving one left coordinate, but the step
+    of right coordinate 1 from (00,001) moves both.  Verification is patched
+    to accept, so the coordinate check alone must refuse."""
+    monkeypatch.setattr(factorization, "verify_reduction", lambda *args: True)
+    prod = product_of([L2, L3])
+    assert prod.states.elements[1:3] == ("(00,001)", "(00,010)")
+    ident = identity_reduction(prod)
+    phi = list(ident.phi)
+    phi[1], phi[2] = phi[2], phi[1]
+    with pytest.raises(NonUniqueTau, match=r"right coordinate 1 move left coordinates \[1, 2\]"):
+        extract_index_partition(Reduction(tuple(phi), ident.alpha), [L2, L3], [L2, L3])
+
+
 def test_extract_rejects_a_non_injective_phi_as_unverified():
     """A well-shaped phi that merges two states fails verification, which
     is what keeps every later step on a bijection."""
@@ -325,8 +341,21 @@ def test_factor_perfect():
     assert factor_perfect(2) == [(2, 1)]
     assert factor_perfect(64) == [(2, 6)]
     assert factor_perfect(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factor_perfect(4096) == [(2, 12)]
     with pytest.raises(PreconditionMismatch):
         factor_perfect(1)
+
+
+def test_factor_perfect_is_capped_before_it_divides():
+    """10^20 + 39 is prime, so trial division would run to 10^10; above
+    config.MAX_PRODUCT_STATES no perfect device is built, and the cap
+    raises first."""
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded, match="exceeds cap 4096"):
+        factor_perfect(10 ** 20 + 39)
+    with pytest.raises(LimitExceeded):
+        factor_perfect(config.MAX_PRODUCT_STATES + 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_factor_binary_result_is_certified():

@@ -3,11 +3,13 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from asdkit import invariants
 from asdkit.devices import (
+    Device,
     direct_product,
     k_reads,
     make_linear,
@@ -31,9 +33,16 @@ from asdkit.invariants import (
     state_complexity,
 )
 from asdkit.minimization import minimize
+from asdkit.partitions import GroundSet, Partition
 from asdkit.reduction import random_equivalent
 
-from corpus import poly_signature_oracle, random_device, two_block_reads, with_coarsened_reads
+from corpus import (
+    perfectness_oracle,
+    poly_signature_oracle,
+    random_device,
+    two_block_reads,
+    with_coarsened_reads,
+)
 
 L2 = make_linear(2)
 L3 = make_linear(3)
@@ -83,6 +92,28 @@ def test_perfectness_index_examples():
     g = GroundSet("abc")
     merged = Device(g, [Partition.from_blocks(g, [["a", "b"], ["c"]])])
     assert perfectness_index(merged) is INFINITE
+
+
+def test_perfectness_index_skips_an_entry_found_again_with_fewer_reads(monkeypatch):
+    """On this 9-state device the search first reaches one meet as a meet
+    of three reads and later as a meet of two.  The three-read heap entry
+    is popped after the two-read one and skipped; the index matches the
+    oracle."""
+    rows = [(0, 0, 0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 1, 0, 2, 2), (0, 0, 0, 1, 0, 1, 1, 1, 1),
+            (0, 0, 0, 1, 1, 0, 0, 0, 0), (0, 1, 2, 1, 0, 1, 1, 1, 3)]
+    g = GroundSet(str(x) for x in range(9))
+    dev = Device(g, [Partition.from_raw(g, row) for row in rows])
+    popped = []
+    pop = invariants.heapq.heappop
+
+    def spy(heap):
+        entry = pop(heap)
+        popped.append(entry[3])
+        return entry
+
+    monkeypatch.setattr(invariants.heapq, "heappop", spy)
+    assert perfectness_index(dev) == perfectness_oracle(dev) == 4
+    assert max(Counter(popped).values()) == 2
 
 
 def test_prescreen_examples():

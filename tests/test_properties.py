@@ -10,9 +10,12 @@ product of the minimized factors, and the binary factors factor_binary
 returns to multiply back to its input.  Label blocks and the least state of
 each meet class are checked against oracles on devices with twin states and
 on identity meets; composed witnesses, and witnesses for A x C <= B x C built
-factor-wise from one for A <= B, are checked to verify."""
+factor-wise from one for A <= B, are checked to verify.  A witness that
+permutes the factors of a product of binaries is checked to verify and to
+yield that permutation's index partition."""
 
 import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -20,7 +23,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from asdkit.devices import Device, direct_product, make_perfect, product_of
-from asdkit.factorization import factor_binary
+from asdkit.factorization import extract_index_partition, factor_binary
 from asdkit.invariants import (
     _pair_counts,
     _signature_certificate,
@@ -344,3 +347,30 @@ def test_reduction_lifts_to_products_factor_wise(seed, c):
     n = c.num_states
     phi = tuple(red.phi[x] * n + z for x in range(a.num_states) for z in range(n))
     assert verify_reduction(ac, bc, Reduction(phi, tuple(alpha)))
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 30), st.integers(2, 3).flatmap(lambda k: st.permutations(range(k))))
+def test_factor_permuting_witness_yields_its_index_partition(seed, sigma):
+    """Known answer: with Es the Ds taken in the order sigma, the witness
+    sending digits x to y with y_j = x_sigma(j) verifies, each read going to
+    the target read with its pushed-forward labels, and right coordinate j
+    is fed by left coordinate sigma(j) alone."""
+    rng = random.Random(seed)
+    ds = [random_binary_device(rng, rng.choice((3, 4))) for _ in sigma]
+    es = [ds[i] for i in sigma]
+    src, dst = product_of(ds), product_of(es)
+    index = {y: t for t, y in enumerate(itertools.product(*(range(e.num_states) for e in es)))}
+    phi = tuple(index[tuple(x[i] for i in sigma)]
+                for x in itertools.product(*(range(d.num_states) for d in ds)))
+    slot = {p.labels: j for j, p in enumerate(dst.partitions)}
+    alpha = []
+    for p in src.partitions:
+        pushed = [0] * dst.num_states
+        for x, t in enumerate(phi):
+            pushed[t] = p.labels[x]
+        alpha.append(slot[Partition.from_raw(dst.states, pushed).labels])
+    red = Reduction(phi, tuple(alpha))
+    assert verify_reduction(src, dst, red)
+    assert extract_index_partition(red, ds, es) == tuple(
+        frozenset(j + 1 for j, i in enumerate(sigma) if i == k) for k in range(len(sigma)))
