@@ -13,9 +13,10 @@ import json
 import sys
 from json.encoder import encode_basestring as _encode_str
 
+from . import config
 from .devices import Device, direct_product, k_reads, make_linear, make_perfect, make_projective
 from .errors import AsdError
-from .factorization import MAX_CERTIFIED_STATES, factor_binary, factor_perfect
+from .factorization import factor_binary, factor_perfect
 from .graphs import Graph, clique_via_reduction, gi_via_equivalence, graph_device
 from .invariants import _signature_certificate, invariant_report, prescreen
 from .minimization import minimize
@@ -164,7 +165,7 @@ def _cmd_factor(args) -> tuple[dict, int]:
 def _cmd_factor_perfect(args) -> tuple[dict, int]:
     factors = factor_perfect(args.m)
     return {"m": args.m, "factors": [list(f) for f in factors],
-            "certified": args.m <= MAX_CERTIFIED_STATES}, 0
+            "certified": args.m <= config.MAX_CERTIFIED_STATES}, 0
 
 
 def _cmd_clique(args) -> tuple[dict, int]:

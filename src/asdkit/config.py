@@ -24,6 +24,13 @@ MAX_KREAD_PARTITIONS = 20000
 # backtracking searches: nodes explored before giving up
 SEARCH_NODE_BUDGET = 10_000_000
 
+# pair-count tables: bytes allowed; read by invariants._pair_counts, the
+# signature's size check and the reduction search's pair-propagation skip
+MAX_PAIR_BYTES = 300 * 2 ** 20
+
+# binary factorization: states; read by factor_binary, factor_perfect's certification and the CLI
+MAX_CERTIFIED_STATES = 64
+
 # factor_binary audit: largest factor size in the exhaustive cross-check
 MAX_FACTOR_STATES = 4
 

@@ -28,7 +28,7 @@ from .errors import (
     NonUniqueTau,
     PreconditionMismatch,
 )
-from .invariants import MAX_PAIR_BYTES, _pair_counts, _pair_counts_bytes
+from .invariants import _pair_counts
 from .minimization import is_state_minimal, minimize, state_quotient
 from .partitions import GroundSet, Partition
 from .reduction import _inverse, decide_equivalence, find_reduction
@@ -37,10 +37,6 @@ from .witnesses import Reduction, verify_reduction
 # An index partition groups the right-hand factors: entry i holds the
 # 1-based positions of the Es that together simulate D_i.
 IndexPartition = tuple[frozenset[int], ...]
-
-# largest state count at which factor_binary runs and factor_perfect
-# certifies its answer with decide_equivalence
-MAX_CERTIFIED_STATES = 64
 
 
 def _check_factors(ds, es) -> tuple[list[Device], list[Device], list[int], list[int]]:
@@ -105,26 +101,23 @@ def binary_product_reduce(
             settled[key] = red is not None
         return settled[key]
 
-    tau: list[int] = []
     groups: list[list[int]] = [[] for _ in range(m)]
     load = [1] * m  # state count of each group so far
 
     def walk(j: int) -> IndexPartition | None:
         if j == n:
             if load == sd and all(part_ok(i, tuple(g)) for i, g in enumerate(groups)):
-                return _index_partition(tau, m)
+                return tuple(frozenset(k + 1 for k in g) for g in groups)
             return None
         for i in range(m):
             if sd[i] % (load[i] * se[j]) == 0:
                 load[i] *= se[j]
                 groups[i].append(j)
-                tau.append(i)
                 found = walk(j + 1)
                 if found is not None:
                     return found
                 load[i] //= se[j]
                 groups[i].pop()
-                tau.pop()
         return None
 
     return walk(0)
@@ -245,11 +238,9 @@ def _lifts(dev: Device) -> tuple[list[Partition], list[int]]:
     Candidate pairs are those whose join count in _pair_counts is 2.  A pair
     whose reads both refine a known join is skipped: their join refines it
     and has its two blocks, so it is that join.  Every join computed is
-    therefore new.  Raises LimitExceeded when the pair counts would take
-    more than MAX_PAIR_BYTES.
+    therefore new.  _pair_counts raises LimitExceeded when its tables would
+    take more than config.MAX_PAIR_BYTES.
     """
-    if _pair_counts_bytes(dev) > MAX_PAIR_BYTES:
-        raise LimitExceeded(f"pair counts of {dev.num_partitions} reads exceed the memory cap")
     reads = dev.partitions
     joins = _pair_counts(dev)[1]
     lifts: list[Partition] = []
@@ -406,14 +397,14 @@ def factor_binary(
     probe is exhaustive, which it is for true binary products.  With audit
     set, an independent enumeration over small candidate factors re-finds
     every factorization, and a uniqueness violation or a factorization the
-    probe missed raises RuntimeError.  The probe raises LimitExceeded when
-    its pair counts would exceed MAX_PAIR_BYTES.  A trivial one-state device
-    factors as the empty product.
+    probe missed raises RuntimeError.  LimitExceeded is raised above
+    config.MAX_CERTIFIED_STATES minimized states or config.MAX_PAIR_BYTES of
+    pair counts.  A trivial one-state device factors as the empty product.
     """
     dm = minimize(dev).device
     n = dm.num_states
-    if n > MAX_CERTIFIED_STATES:
-        raise LimitExceeded(f"minimized device has {n} states (cap {MAX_CERTIFIED_STATES})")
+    if n > config.MAX_CERTIFIED_STATES:
+        raise LimitExceeded(f"minimized device has {n} states (cap {config.MAX_CERTIFIED_STATES})")
     if n == 1:
         return []
     cand = _extract_candidate_factors(dm)
@@ -429,7 +420,7 @@ def factor_perfect(m: int) -> list[tuple[int, int]]:
     """Prime factorization of a perfect device's state count.
 
     Returns (prime, multiplicity) pairs in increasing prime order; for
-    m <= MAX_CERTIFIED_STATES the claim C_m == ×C_p^a is certified by decide_equivalence.
+    m <= config.MAX_CERTIFIED_STATES the claim C_m == ×C_p^a is certified by decide_equivalence.
     m above config.MAX_PRODUCT_STATES, where no C_m is built, raises LimitExceeded.
     """
     if m < 2:
@@ -449,7 +440,7 @@ def factor_perfect(m: int) -> list[tuple[int, int]]:
         d += 1
     if rest > 1:
         out.append((rest, 1))
-    if m <= MAX_CERTIFIED_STATES:
+    if m <= config.MAX_CERTIFIED_STATES:
         parts = [make_perfect(p) for p, a in out for _ in range(a)]
         if decide_equivalence(make_perfect(m), product_of(parts)) is None:
             raise RuntimeError("perfect factorization failed certification")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .devices import Device, once_per_device
 from .errors import LimitExceeded
 from .minimization import minimize
@@ -132,10 +133,6 @@ def _pair_chunk(q: int, r: int) -> int:
     return max(1, (1 << 22) // (q * r * r))
 
 
-# bytes that _pair_counts, and the depth-2 signature built on it, may take
-MAX_PAIR_BYTES = 300 * 2 ** 20
-
-
 def _pair_counts_bytes(dev: Device) -> int:
     """Upper estimate of the bytes _pair_counts(dev) allocates at its peak.
 
@@ -161,7 +158,10 @@ def _pair_counts(dev: Device) -> tuple[np.ndarray, np.ndarray]:
     (b, c) of the product counts states shared by block b and block c, so
     positive entries are the meet blocks and connected components of the
     induced block-overlap graph are the join blocks.  Both arrays are shared, read-only.
+    Raises LimitExceeded before allocating when _pair_counts_bytes exceeds config.MAX_PAIR_BYTES.
     """
+    if _pair_counts_bytes(dev) > config.MAX_PAIR_BYTES:
+        raise LimitExceeded(f"pair counts of {dev.num_partitions} reads exceed the memory cap")
     parts = dev.partitions
     q = len(parts)
     n = dev.num_states
@@ -201,15 +201,16 @@ def _pair_counts(dev: Device) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_signature_bytes(dev: Device) -> None:
-    """Raise LimitExceeded when dev's signature would exceed MAX_PAIR_BYTES.
+    """Raise LimitExceeded when dev's signature would exceed config.MAX_PAIR_BYTES.
 
     The estimate is the pair counts plus the sort's int64 block-count
     column, lexsort order and sorted column and its two bool masks: 26 bytes
     per pair of reads.
     """
     q = dev.num_partitions
-    if _pair_counts_bytes(dev) + 26 * q * q > MAX_PAIR_BYTES:
-        raise LimitExceeded(f"signature of {q} reads would take over {MAX_PAIR_BYTES >> 20} MiB")
+    if _pair_counts_bytes(dev) + 26 * q * q > config.MAX_PAIR_BYTES:
+        raise LimitExceeded(f"signature of {q} reads would take over "
+                            f"{config.MAX_PAIR_BYTES >> 20} MiB")
 
 
 @once_per_device

@@ -29,7 +29,7 @@ import numpy as np
 from . import config
 from .devices import Device, once_per_device
 from .errors import AsdError, LimitExceeded, PreconditionMismatch, SearchBudgetExceeded
-from .invariants import MAX_PAIR_BYTES, _pair_counts, _pair_counts_bytes, prescreen
+from .invariants import _pair_counts, _pair_counts_bytes, prescreen
 from .minimization import is_partition_minimal, is_state_minimal, minimize, state_quotient
 from .partitions import GroundSet, Partition
 from .witnesses import Reduction, compose, verify_reduction
@@ -277,7 +277,7 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     # tensor took at its old 40M-entry bound; _pair_counts_bytes bounds the pass
     ac, w = None, -(-q // 64)
     if (p >= 2 and 17 * p * p * q * w <= 160_000_000
-            and max(_pair_counts_bytes(src), _pair_counts_bytes(dst)) <= MAX_PAIR_BYTES):
+            and max(_pair_counts_bytes(src), _pair_counts_bytes(dst)) <= config.MAX_PAIR_BYTES):
         dm, dj = _pair_counts(src)
         em, ej = _pair_counts(dst)
         allowb = np.empty((w, p, p, q), dtype=np.uint64)
@@ -338,15 +338,15 @@ def _structural_refute(src: Device, dst: Device, budget: int) -> bool:
     """True when factoring both devices into non-perfect binaries proves
     there is no reduction.
 
-    Only applies to equal-sized composite devices; the factorizations are
-    certified equivalences, so a failed index-partition search settles the
-    question without touching the state-level search space.  Never claims a
-    reduction exists, so a False just falls through to the generic search.
+    Only applies to equal-sized composite devices that factor_binary accepts
+    (any AsdError, such as LimitExceeded above its cap, gives False); the
+    factorizations are certified equivalences, so a failed index-partition
+    search settles the question.  A False falls through to the generic search.
     """
-    from .factorization import MAX_CERTIFIED_STATES, binary_product_reduce, factor_binary
+    from .factorization import binary_product_reduce, factor_binary
 
     ns = src.meet_of_all().num_blocks
-    if ns != dst.meet_of_all().num_blocks or not 9 <= ns <= MAX_CERTIFIED_STATES:
+    if ns != dst.meet_of_all().num_blocks or ns < 9:
         return False
 
     try:

@@ -26,7 +26,6 @@ from asdkit.errors import (
     PreconditionMismatch,
 )
 from asdkit.factorization import (
-    MAX_CERTIFIED_STATES,
     _binary_candidates,
     _extract_candidate_factors,
     _lifts,
@@ -181,11 +180,14 @@ def test_extract_matches_search_result():
 
 
 def test_extract_rejects_corrupted_phi():
+    """Swapping states 0 and 1 of the identity on L4 x L2 fails verification,
+    so extraction refuses before any coordinate step is read;
+    test_extract_checks_every_coordinate_step covers the coordinate check."""
     prod = product_of([L4, L2])
     red = identity_reduction(prod)
     phi = list(red.phi)
     phi[0], phi[1] = phi[1], phi[0]
-    with pytest.raises(NonUniqueTau):
+    with pytest.raises(NonUniqueTau, match="witness does not verify"):
         extract_index_partition(Reduction(tuple(phi), red.alpha), [L4, L2], [L4, L2])
 
 
@@ -408,7 +410,7 @@ def test_one_join_block_keeps_the_device():
 def _audit_combos():
     """Every candidate combo the audit can form: one per splitting of 2 to 64
     states into parts of at most MAX_FACTOR_STATES, per multiset of candidates."""
-    for n in range(2, MAX_CERTIFIED_STATES + 1):
+    for n in range(2, config.MAX_CERTIFIED_STATES + 1):
         for split in _splittings(n, config.MAX_FACTOR_STATES):
             pools = [itertools.combinations_with_replacement(_binary_candidates(s), cnt)
                      for s, cnt in sorted(Counter(split).items())]
@@ -440,13 +442,10 @@ def test_audit_raises_when_the_probe_misses_a_factorization(monkeypatch):
 
 
 def test_lift_discovery_refused_beyond_the_pair_memory_bound(monkeypatch):
-    """Over MAX_PAIR_BYTES the probe raises before any pair count, with no
-    all-pairs fallback; find_reduction still answers, as the generic search."""
-    def fail(_):
-        raise AssertionError("_pair_counts ran")
-
-    monkeypatch.setattr(factorization, "MAX_PAIR_BYTES", 1 << 20)
-    monkeypatch.setattr(factorization, "_pair_counts", fail)
+    """Over config.MAX_PAIR_BYTES the probe raises, with no all-pairs
+    fallback; find_reduction still answers, as the generic search.  That
+    _pair_counts refuses before allocating is tests/test_limits.py's case."""
+    monkeypatch.setattr(config, "MAX_PAIR_BYTES", 1 << 20)
     rng = random.Random(0x3A9)
     answers = []
     for _ in range(6):

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from asdkit import invariants
+from asdkit import config, invariants
 from asdkit.devices import (
     Device,
     direct_product,
@@ -20,7 +20,6 @@ from asdkit.devices import (
 from asdkit.errors import LimitExceeded
 from asdkit.invariants import (
     INFINITE,
-    MAX_PAIR_BYTES,
     _pair_counts,
     _pair_counts_bytes,
     _signature_certificate,
@@ -299,7 +298,7 @@ def test_signature_refused_beyond_its_memory_bound(monkeypatch):
     """3,000 two-block reads on 16 states (a JSON file of a few hundred kB)
     would take about 440 MiB; the signature refuses before any pair count."""
     dev = two_block_reads(random.Random(6), 3000)
-    assert _pair_counts_bytes(dev) + 26 * 3000 ** 2 > MAX_PAIR_BYTES
+    assert _pair_counts_bytes(dev) + 26 * 3000 ** 2 > config.MAX_PAIR_BYTES
 
     def fail(_):
         raise AssertionError("_pair_counts ran")
