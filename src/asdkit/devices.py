@@ -9,6 +9,7 @@ and are ignored by equality.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import chain, combinations, product as iproduct, repeat
 from typing import Iterable
@@ -22,6 +23,8 @@ from .errors import (
     PreconditionMismatch,
 )
 from .partitions import GroundSet, Partition, _dense, product_ground
+
+_GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 
 def once_per_device(fn):
@@ -64,12 +67,21 @@ class Device:
 
     @once_per_device
     def meet_of_all(self) -> Partition:
-        """Meet of the whole partition family, folded on labels until every state is apart."""
+        """Meet of the whole partition family, folded on labels until every state is apart.
+
+        Reads sorted by labels come in runs that split the same early states,
+        so the fold takes read i·s mod r, with s coprime to r near r/φ; the
+        meet's first-occurrence labels do not depend on the order.
+        """
+        r = len(self.partitions)
+        step = round(r / _GOLDEN_RATIO)
+        while math.gcd(step, r) != 1:
+            step += 1
         labels, k = self.partitions[0].labels, self.partitions[0].num_blocks
-        for p in self.partitions[1:]:
+        for i in range(1, r):
             if k == len(labels):
                 break
-            labels, k = _dense(zip(labels, p.labels))
+            labels, k = _dense(zip(labels, self.partitions[i * step % r].labels))
         return Partition(self.states, labels, k)
 
     def with_name(self, name: str | None) -> "Device":

@@ -7,7 +7,9 @@ per source read, the target reads consistent with every assigned pair so far;
 at full depth that is exactly the reduction condition.  The numpy step of
 _search_reduction adds capacity and pair-count pruning, the latter on
 compatibility rows packed 64 to a uint64 word, and keeps one ownership state
-per search, undone on backtrack.  The bitmask step serves the fallback for
+per search, undone on backtrack; it also starts phi(x) above phi(x - 1)
+where swapping x - 1 and x is an automorphism of the source, since the least
+witness orders those two images.  The bitmask step serves the fallback for
 oversized inputs and the exact-match equivalence search; it compares source
 labels directly and reads the target's separating reads off its block table,
 one column per target state that becomes the image of a checked state.  In
@@ -31,7 +33,7 @@ from .devices import Device, once_per_device
 from .errors import AsdError, LimitExceeded, PreconditionMismatch, SearchBudgetExceeded
 from .invariants import _pair_counts, _pair_counts_bytes, prescreen
 from .minimization import is_partition_minimal, is_state_minimal, minimize, state_quotient
-from .partitions import GroundSet, Partition
+from .partitions import GroundSet, Partition, _dense
 from .witnesses import Reduction, compose, verify_reduction
 
 
@@ -62,12 +64,14 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _backtrack(nd: int, ne: int, root, extend, budget: int):
+def _backtrack(nd: int, ne: int, root, extend, budget: int, ordered=None):
     """Depth-first search over injective phi; returns (phi, leaf frame) or None.
 
-    Every target tried counts as a node, including those blocked because they
-    are used.  extend(frame, x, t) is called once phi(y) is fixed for every
-    y < x; it returns the child frame for phi(x) = t, or None.
+    Targets of depth x start at 0, or at phi(x - 1) + 1 where ordered(x)
+    holds.  Every target tried from there counts as a node, including those
+    blocked because they are used; those below the start are never tried.
+    extend(frame, x, t) is called once phi(y) is fixed for every y < x; it
+    returns the child frame for phi(x) = t, or None.
     """
     phi = [-1] * nd
     used = 0
@@ -97,7 +101,7 @@ def _backtrack(nd: int, ne: int, root, extend, budget: int):
             used |= 1 << t
             frames.append(child)
             depth += 1
-            resume[depth] = 0
+            resume[depth] = t + 1 if depth < nd and ordered is not None and ordered(depth) else 0
         else:
             if depth == 0:
                 return None
@@ -216,6 +220,32 @@ def _ac_narrow(alive: np.ndarray, allowb: np.ndarray) -> np.ndarray | None:
         alive = new
 
 
+@once_per_device
+def _read_set(dev: Device) -> frozenset:
+    """The label tuples of dev's reads."""
+    return frozenset(pi.labels for pi in dev.partitions)
+
+
+def _swap_is_automorphism(dev: Device, y: int, x: int) -> bool:
+    """Does swapping states y and x map dev's read family onto itself?
+
+    The swap carries each read onto a read, so the sizes of y's blocks over
+    all reads must be those of x's; that O(p) test runs first.  A read that
+    keeps y and x together, or holds both as singletons, is unchanged by the
+    swap.  Every other read is rebuilt swapped and looked up.
+    """
+    ids, sizes = _block_table(dev)
+    size_y, size_x = sizes[ids[y]], sizes[ids[x]]
+    if not np.array_equal(np.sort(size_y), np.sort(size_x)):
+        return False
+    for i in np.flatnonzero((ids[y] != ids[x]) & ((size_y > 1) | (size_x > 1))).tolist():
+        labels = list(dev.partitions[i].labels)
+        labels[y], labels[x] = labels[x], labels[y]
+        if _dense(labels)[0] not in _read_set(dev):
+            return False
+    return True
+
+
 def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None:
     """Backtracking over phi with consistency, capacity and pair propagation.
 
@@ -243,7 +273,14 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     also keeps the target's block sizes, so those must regroup into the
     source's sizes by exact subset sums.  Every pruning only removes choices
     that can never be completed, so the witness stays lexicographically
-    least.
+    least.  Source symmetry orders the images instead, by the lex-leader
+    argument (Crawford, Ginsberg, Luks & Roy, KR 1996): when swapping x - 1
+    and x maps src's read family onto itself, phi composed with that swap
+    is a witness whenever phi is, and it differs from phi first at x - 1.
+    phi is injective, so the least witness has phi(x - 1) < phi(x), and
+    depth x starts its targets above phi(x - 1).  Whether the swap is an
+    automorphism is decided the first time the search reaches depth x, and
+    kept for the rest of the search.
     """
     nd, ne = src.num_states, dst.num_states
     pd, pe = src.partitions, dst.partitions
@@ -324,7 +361,8 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
         trail.append((g, h, own_g, cap_h))
         return alive, load
 
-    hit = _backtrack(nd, ne, (alive0, load0), extend, budget)
+    ordered = functools.cache(lambda x: _swap_is_automorphism(src, x - 1, x))
+    hit = _backtrack(nd, ne, (alive0, load0), extend, budget, ordered)
     if hit is None:
         return None
     phi, final = hit

@@ -71,6 +71,29 @@ def random_graph(rng, lo: int = 4, hi: int = 8, p: float = 0.5,
         return make_graph(verts, edges)
 
 
+def turan_graph(n: int, r: int) -> Graph:
+    """Turán graph T(n, r): n vertices in r parts as equal as possible, each
+    part a run of consecutive vertices, and an edge between every two
+    vertices of different parts.  It has no (r + 1)-clique, since a clique
+    takes at most one vertex from each part (Turán 1941)."""
+    verts = [f"u{i}" for i in range(n)]
+    return make_graph(verts, ((verts[i], verts[j]) for i, j in combinations(range(n), 2)
+                              if i * r // n != j * r // n))
+
+
+def twin_graph(rng, lo: int = 4, hi: int = 6, p: float = 0.5) -> Graph:
+    """Random graph with no isolated vertex, plus a twin of one vertex placed
+    right after it: the two have the same neighbours and no edge between
+    them, so swapping them is an automorphism."""
+    g = random_graph(rng, lo - 1, hi - 1, p)
+    i = rng.randrange(g.num_vertices)
+    order = list(range(g.num_vertices))
+    order.insert(i + 1, i)  # vertex i + 1 copies vertex i
+    verts = [f"w{k}" for k in range(len(order))]
+    return make_graph(verts, ((verts[a], verts[b]) for a, b in combinations(range(len(order)), 2)
+                              if g.has_edge(g.vertices[order[a]], g.vertices[order[b]])))
+
+
 def _connected(verts, edges) -> bool:
     root = {v: v for v in verts}
 

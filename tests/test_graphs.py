@@ -22,7 +22,7 @@ from asdkit.graphs import (
 )
 from asdkit.minimization import is_partition_minimal, is_state_minimal
 
-from corpus import clique_oracle, isomorphic_oracle, random_graph
+from corpus import clique_oracle, isomorphic_oracle, random_graph, turan_graph
 
 
 def _path4():
@@ -118,6 +118,21 @@ def test_clique_matches_oracle():
                 assert all(g.has_edge(u, v)
                            for i, u in enumerate(verts)
                            for v in verts[i + 1:])
+
+
+def test_turan_graphs_have_no_larger_clique():
+    """T(n, r) has r parts as equal as possible and clique number r, checked
+    by enumeration on T(8, 3) and T(9, 4); the encoding then says "no" for
+    K5 into T(20, 4) and K6 into T(20, 5), where enumeration is out of reach."""
+    for n, r in ((8, 3), (9, 4)):
+        g = turan_graph(n, r)
+        sizes = [n // r + (i < n % r) for i in range(r)]
+        assert len(g.edges) == n * (n - 1) // 2 - sum(m * (m - 1) // 2 for m in sizes)
+        assert clique_oracle(g, r) and not clique_oracle(g, r + 1)
+        assert clique_via_reduction(g, r + 1) == (False, None)
+    assert clique_via_reduction(turan_graph(9, 4), 4)[0]
+    for n, r in ((20, 4), (20, 5)):
+        assert clique_via_reduction(turan_graph(n, r), r + 1, budget=500_000) == (False, None)
 
 
 def test_gi_examples():

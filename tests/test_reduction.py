@@ -42,10 +42,12 @@ from corpus import (
     mask_step_oracle,
     random_binary_device,
     random_device,
+    random_graph,
     random_partition,
     random_small_pair,
     reducible_pair,
     regroup_oracle,
+    twin_graph,
     with_twins,
 )
 
@@ -131,6 +133,11 @@ TWO_TRIANGLES = _graph([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f
 OCTAHEDRON = _graph([e for e in itertools.combinations("abcdef", 2)
                      if e not in {("a", "d"), ("b", "e"), ("c", "f")}])
 K4 = graph_device(complete_graph(4))
+# the octahedron plus two vertices g and h making e, f, g, h a 4-clique
+OCTAHEDRON_AND_K4 = graph_device(make_graph("abcdefgh", [
+    e for e in itertools.combinations("abcdefgh", 2)
+    if e not in {("a", "d"), ("b", "e"), ("c", "f")}
+    and (set(e) <= set("abcdef") or set(e) <= set("efgh"))]))
 
 
 def _relabel_search(dev, seed):
@@ -155,8 +162,11 @@ NODE_PINS = {
     "numpy L2xL3 -> L3xL2": (
         lambda b: _search_reduction(direct_product(L2, L3), direct_product(L3, L2), b),
         528, True),
+    # K4's states are symmetric, so its images are searched in increasing order
     "numpy K4 -> octahedron": (
-        lambda b: _search_reduction(K4, OCTAHEDRON, b), 474, False),
+        lambda b: _search_reduction(K4, OCTAHEDRON, b), 45, False),
+    "numpy K4 -> octahedron and K4": (
+        lambda b: _search_reduction(K4, OCTAHEDRON_AND_K4, b), 92, True),
     "numpy random pair 9": (
         lambda b: _search_reduction(*_random_pair(9), b), 279, True),
     # the quotient of L2xL3 with 11 twins is L2xL3, so the count is the one above
@@ -189,6 +199,100 @@ def test_search_node_counts_pinned(name):
     assert (search(nodes) is not None) == yes
     with pytest.raises(SearchBudgetExceeded):
         search(nodes - 1)
+
+
+def test_swap_is_automorphism_on_each_branch(monkeypatch):
+    """Rejected by the size rows before any read is rebuilt; rejected on a
+    rebuilt read; accepted once every moved read is found; accepted with no
+    read rebuilt when the swap moves no read."""
+    rebuilt = []
+
+    def dense(raw):
+        rebuilt.append(raw)
+        return reduction_dense(raw)
+
+    reduction_dense = reduction._dense
+    monkeypatch.setattr(reduction, "_dense", dense)
+    path = graph_device(make_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")]))
+    # over the reads ab, bc, cd, a lies in blocks of sizes 1, 2, 2 and b in 1, 1, 2
+    assert not reduction._swap_is_automorphism(path, 0, 1) and not rebuilt
+    # b and c lie in blocks of sizes 1, 1, 2 both, but the swap carries ab to ac;
+    # bc holds both as singletons, so only ab is rebuilt before the answer
+    assert not reduction._swap_is_automorphism(path, 1, 2) and len(rebuilt) == 1
+    rebuilt.clear()
+    # the swap carries the reads of edges 02, 03, 12, 13 onto each other
+    assert reduction._swap_is_automorphism(K4, 0, 1) and len(rebuilt) == 4
+    rebuilt.clear()
+    g = GroundSet("0123")
+    together_or_apart = Device(g, [Partition.from_blocks(g, [["0", "1"], ["2", "3"]]),
+                                   Partition.identity(g)])
+    assert reduction._swap_is_automorphism(together_or_apart, 0, 1) and not rebuilt
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["K4", "K5", "twins"]), st.integers(0, 2 ** 32 - 1))
+def test_source_symmetry_keeps_the_least_witness(kind, seed):
+    """The numpy step from a symmetric state-minimal source returns the least
+    witness, or None, exactly as brute enumeration does: complete graphs,
+    and graphs with two non-adjacent twin vertices at adjacent indices."""
+    rng = random.Random(seed)
+    # target sizes that keep the oracle's enumeration under a second
+    src, hi = {"K4": (K4, 8), "K5": (graph_device(complete_graph(5)), 7),
+               "twins": (graph_device(twin_graph(rng, 4, 5)), 7)}[kind]
+    assert is_state_minimal(src)
+    assert any(reduction._swap_is_automorphism(src, x - 1, x) for x in range(1, src.num_states))
+    dst = graph_device(random_graph(rng, 4, hi, p=rng.choice((0.6, 0.8, 0.9))))
+    red = _search_reduction(src, dst, 10_000_000)
+    assert (None if red is None else (red.phi, red.alpha)) == least_reduction_oracle(src, dst)
+
+
+def _nodes_to_decide(search) -> int:
+    """Least budget within which search decides: doubled until it does, then bisected."""
+    low, high = 0, 1
+    while True:
+        try:
+            search(high)
+            break
+        except SearchBudgetExceeded:
+            low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            search(mid)
+            high = mid
+        except SearchBudgetExceeded:
+            low = mid
+    return high
+
+
+def test_source_symmetry_only_prunes(monkeypatch):
+    """With the automorphism test patched to say no, the same seeded searches
+    give the same verdict and witness, and none decides in fewer nodes; some
+    need more."""
+    rng = random.Random(167)
+    sources = [K4, graph_device(complete_graph(5))]
+    sources += [graph_device(twin_graph(rng, 5, 7)) for _ in range(4)]
+    pruned = 0
+    for src in sources:
+        for _ in range(3):
+            dst = graph_device(random_graph(rng, 6, 9, p=rng.choice((0.6, 0.8))))
+
+            def search(budget):
+                red = _search_reduction(src, dst, budget)
+                return None if red is None else (red.phi, red.alpha)
+
+            fewest = _nodes_to_decide(search)
+            witness = search(fewest)
+            monkeypatch.setattr(reduction, "_swap_is_automorphism", lambda dev, y, x: False)
+            assert search(10_000_000) == witness
+            with pytest.raises(SearchBudgetExceeded):
+                search(fewest - 1)
+            try:
+                search(fewest)
+            except SearchBudgetExceeded:
+                pruned += 1
+            monkeypatch.undo()
+    assert pruned >= 6
 
 
 def test_numpy_step_decides_against_a_40000_state_target(monkeypatch):

@@ -5,7 +5,9 @@ state, its target and the child's candidates, over a fixed seeded set of
 searches.  A change that keeps verdicts and witnesses but explores, orders or
 prunes differently changes the digest.  One meant to shrink the tree, such
 as symmetry pruning, re-pins it and says why; one that must not change it,
-such as trail undo or refutation logging, keeps it.
+such as trail undo or refutation logging, keeps it.  The ten K4 searches
+have a symmetric source, so their images are tried in increasing order:
+that took the count from 4,312 calls to 2,724.
 """
 
 import hashlib
@@ -68,4 +70,4 @@ def test_search_tree_digest_on_state_minimal_sources(monkeypatch):
             verdict = "budget"
         digest.update(repr(verdict).encode())
     assert (calls, digest.hexdigest()) == (
-        4312, "fc9db6970e68c5c8253d9ff2d89b52b6e940191dbef6e389d620e146325b14e9")
+        2724, "5a1bd8d854af323b4374666a57e74f28c9f3dd12124a4b1d7aa9e5ce5d719366")
