@@ -229,7 +229,7 @@ def test_swap_is_automorphism_on_each_branch(monkeypatch):
     assert reduction._swap_is_automorphism(together_or_apart, 0, 1) and not rebuilt
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(st.sampled_from(["K4", "K5", "twins"]), st.integers(0, 2 ** 32 - 1))
 def test_source_symmetry_keeps_the_least_witness(kind, seed):
     """The numpy step from a symmetric state-minimal source returns the least
