@@ -6,15 +6,17 @@ is lexicographically least.  Each search adds one narrowing step that keeps,
 per source read, the target reads consistent with every assigned pair so far;
 at full depth that is exactly the reduction condition.  The numpy step of
 _search_reduction adds capacity and pair-count pruning, the latter on
-compatibility rows packed 64 to a uint64 word, and keeps one ownership state
-per search, undone on backtrack; it also starts phi(x) above phi(x - 1)
-where swapping x - 1 and x is an automorphism of the source, since the least
-witness orders those two images.  The bitmask step serves the fallback for
-oversized inputs and the exact-match equivalence search; it compares source
-labels directly and reads the target's separating reads off its block table,
-one column per target state that becomes the image of a checked state.  In
-exact mode it checks each new state against one state per block, and the
-equivalence search drops nodes where the read map can no longer be one-to-one.
+compatibility rows packed 64 to a uint64 word once per distinct pair count,
+and skipped at a node that removed no candidate from its parent's fixpoint.
+It keeps one ownership state per search, undone on backtrack, and starts
+phi(x) above phi(x - 1) where swapping x - 1 and x is an automorphism of the
+source, since the least witness orders those two images.  The bitmask step
+serves the fallback for oversized inputs and the exact-match equivalence
+search; it compares source labels directly and reads the target's separating
+reads off its block table, one column per target state that becomes the
+image of a checked state.  In exact mode it checks each new state against
+one state per block, and the equivalence search drops nodes where the read
+map can no longer be one-to-one.
 """
 
 from __future__ import annotations
@@ -198,9 +200,11 @@ def _sizes_regroup(a_sizes: tuple[int, ...], b_sizes: tuple[int, ...]) -> bool:
 
 def _words(bits: np.ndarray) -> np.ndarray:
     """bits packed over the last axis into zero-padded uint64 words, moved to the front axis."""
-    out = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 8,), dtype=np.uint8)
-    out[..., :-(-bits.shape[-1] // 8)] = np.packbits(bits, axis=-1, bitorder="little")
-    return np.moveaxis(out.view(np.uint64), -1, 0)
+    *lead, n = bits.shape
+    pad = np.zeros((*lead, -(-n // 64) * 64), dtype=bool)
+    pad[..., :n] = bits
+    words = np.packbits(pad, axis=-1, bitorder="little").view(np.uint64)
+    return words.transpose(len(lead), *range(len(lead)))
 
 
 def _ac_narrow(alive: np.ndarray, allowb: np.ndarray) -> np.ndarray | None:
@@ -211,13 +215,51 @@ def _ac_narrow(alive: np.ndarray, allowb: np.ndarray) -> np.ndarray | None:
     short last axis slowly; AND and != 0 ignore byte order).  Iterates to a
     fixed point; returns the narrowed matrix, or None once any row empties.
     """
+    count = np.count_nonzero(alive)
     while True:
         new = alive & ((allowb & _words(alive)[:, None, :, None]) != 0).any(axis=0).all(axis=1)
         if not new.any(axis=1).all():
             return None
-        if new.sum() == alive.sum():
+        if (kept := np.count_nonzero(new)) == count:
             return new
-        alive = new
+        alive, count = new, kept
+
+
+def _allow_table(src: Device, dst: Device) -> np.ndarray:
+    """The packed pair-compatibility table of _ac_narrow for src -> dst.
+
+    allowb[:, i, i2, j] packs by _words the target reads j2 whose meet with j
+    has at least as many blocks as that of i2 with i, and, when the state
+    counts agree, whose join has at least as many blocks as that of i2 with i.
+    A row depends on (i, i2) only through those counts, each at most src's
+    state count, so the rows are packed once per distinct count and gathered
+    into place.  A pass packs at most p counts, so no more (p, q, q) booleans
+    exist at once than one source read's, and the distinct rows take no more
+    bytes than the table they fill.
+    """
+    dm, dj = _pair_counts(src)
+    em, ej = _pair_counts(dst)
+    p, both, base = len(dm), src.num_states == dst.num_states, src.num_states + 1
+    counts, at = np.unique(dm * base + dj if both else dm * base, return_inverse=True)
+    meet, join = np.divmod(counts, base)
+    rows = []
+    for k in range(0, len(counts), p):
+        ok = em >= meet[k:k + p, None, None]
+        if both:
+            ok &= ej >= join[k:k + p, None, None]
+        rows.append(_words(ok))
+    return np.concatenate(rows, axis=1).take(at.reshape(p, p), axis=1)  # C order, words first
+
+
+def _regroup_mask(src: Device, dst: Device) -> np.ndarray:
+    """(p, q) booleans: can target read j's block sizes be grouped so the
+    group sums are source read i's?  Reads are grouped by size multiset, so
+    _sizes_regroup runs once per distinct pair of multisets."""
+    kinds_a, kinds_b = {}, {}
+    ia = [kinds_a.setdefault(pi.size_multiset(), len(kinds_a)) for pi in src.partitions]
+    ib = [kinds_b.setdefault(rho.size_multiset(), len(kinds_b)) for rho in dst.partitions]
+    fits = np.array([[_sizes_regroup(a, b) for b in kinds_b] for a in kinds_a])
+    return fits[np.array(ia)[:, None], ib]
 
 
 @once_per_device
@@ -269,9 +311,15 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     the source pair| for every pair of reads, and the join-count analogue
     when phi must be a bijection; candidates with no compatible partner in
     some other row are dropped until that stabilizes, testing 64 partners per
-    AND of packed words (Lecoutre & Vion 2008).  A bijective pullback
+    AND of packed words (Lecoutre & Vion 2008).  The compatibility rows
+    depend on a pair of source reads only through its counts, so they are
+    packed once per distinct count (_allow_table).  A node where consistency
+    and capacity remove no candidate keeps its parent's matrix, which
+    propagation already left at a fixpoint, so propagation is skipped there;
+    the frame carries its candidate count to tell.  A bijective pullback
     also keeps the target's block sizes, so those must regroup into the
-    source's sizes by exact subset sums.  Every pruning only removes choices
+    source's sizes by exact subset sums, tested once per distinct pair of
+    size multisets (_regroup_mask).  Every pruning only removes choices
     that can never be completed, so the witness stays lexicographically
     least.  Source symmetry orders the images instead, by the lex-leader
     argument (Crawford, Ginsberg, Luks & Roy, KR 1996): when swapping x - 1
@@ -291,7 +339,8 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
 
     # own and cap take 4 bytes a block of one side per read of the other, each level
     # 13 a pair of reads (alive and load in its frame, own_g and cap_h on the trail),
-    # the root 5; not counted: the block tables, 4 bytes a state per read, and ~1 KB a level
+    # the root 5; not counted: the block tables and size_of, 4 bytes a state per read
+    # each, and ~1 KB a level
     if 4 * (p * sum(nb_e) + q * sum(nb_d)) + p * q * (13 * nd + 5) > 300 * 2 ** 20:
         return _search_reduction_bitmask(src, dst, budget)
 
@@ -300,12 +349,7 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     # a bijective pullback keeps the target's block sizes, so the target's
     # size multiset must regroup into the source's
     if nd == ne and remax <= 12 and p * q <= 10000:
-        asz = [tuple(pi.block_sizes()) for pi in pd]
-        bsz = [tuple(rho.block_sizes()) for rho in pe]
-        for i in range(p):
-            for j in range(q):
-                if alive0[i, j] and not _sizes_regroup(asz[i], bsz[j]):
-                    alive0[i, j] = False
+        alive0 &= _regroup_mask(src, dst)
         if not alive0.any(axis=1).all():
             return None
 
@@ -315,12 +359,7 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     ac, w = None, -(-q // 64)
     if (p >= 2 and 17 * p * p * q * w <= 160_000_000
             and max(_pair_counts_bytes(src), _pair_counts_bytes(dst)) <= config.MAX_PAIR_BYTES):
-        dm, dj = _pair_counts(src)
-        em, ej = _pair_counts(dst)
-        allowb = np.empty((w, p, p, q), dtype=np.uint64)
-        for i in range(p):  # one source read at a time, so no (p, p, q, q) tensor exists
-            ok = em >= dm[i, :, None, None]
-            allowb[:, i] = _words(ok & (ej >= dj[i, :, None, None]) if nd == ne else ok)
+        allowb = _allow_table(src, dst)
         if not (allowb == _words(np.ones(q, dtype=bool))[:, None, None, None]).all():
             ac, alive0 = allowb, _ac_narrow(alive0, allowb)
             if alive0 is None:
@@ -332,13 +371,14 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
     cap = np.zeros((len(sizes_src), q), dtype=np.int32)  # [h, j]: size h claims in read j
     trail = []  # trail[y] = (g, h, own_g, cap_h): what phi(y) overwrote in own and cap
     load0 = np.full((p, q), nd, dtype=np.int32)  # every cap_h is 0, so the sum of |h|
+    size_of = sizes_src[ids_src][:, :, None]  # [x, i, 0]: size of x's block of read i
 
     def extend(frame, x, t):
         while len(trail) > x:  # undo phi(y) for y >= x, deepest first
             g, h, own_g, cap_h = trail.pop()
             own[:, g] = own_g
             cap[h] = cap_h
-        alive, load = frame
+        alive, load, count = frame
         g = ids_dst[t]  # (q,) t's blocks
         h = ids_src[x]  # (p,) x's blocks
         own_g = own[:, g]
@@ -348,21 +388,26 @@ def _search_reduction(src: Device, dst: Device, budget: int) -> Reduction | None
             return None
         newclaim = alive & free
         cap_h = cap[h]
-        new_cap_h = cap_h + np.where(newclaim, sizes_dst[g], 0)
-        size_h = sizes_src[h][:, None]
+        new_cap_h = cap_h + newclaim * sizes_dst[g]
+        size_h = size_of[x]
         load = load + np.maximum(size_h, new_cap_h) - np.maximum(size_h, cap_h)
         alive &= load <= ne
-        if not alive.any(axis=1).all():
-            return None
-        if ac is not None and (alive := _ac_narrow(alive, ac)) is None:
-            return None
+        # with count candidates kept, alive is the frame's matrix: no row is
+        # empty, and pair propagation already left it at its fixpoint
+        if (kept := np.count_nonzero(alive)) != count:
+            if not alive.any(axis=1).all():
+                return None
+            if ac is not None:
+                if (alive := _ac_narrow(alive, ac)) is None:
+                    return None
+                kept = np.count_nonzero(alive)
         own[:, g] = np.where(newclaim, h[:, None], own_g)
         cap[h] = new_cap_h
         trail.append((g, h, own_g, cap_h))
-        return alive, load
+        return alive, load, kept
 
     ordered = functools.cache(lambda x: _swap_is_automorphism(src, x - 1, x))
-    hit = _backtrack(nd, ne, (alive0, load0), extend, budget, ordered)
+    hit = _backtrack(nd, ne, (alive0, load0, np.count_nonzero(alive0)), extend, budget, ordered)
     if hit is None:
         return None
     phi, final = hit

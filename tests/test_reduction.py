@@ -388,7 +388,8 @@ def test_packed_ac_narrow_matches_the_plain_fixpoint(p, q, live, partners, seed)
     q covers a word with padding bits (1, 7, 63), a full word (64) and rows of
     two and three words (65, 130).  Each candidate has about `partners`
     compatible candidates per row, so draws keep every candidate, prune some,
-    or empty a row.
+    or empty a row.  The result is a fixpoint of _ac_narrow too, which lets
+    the search skip it on a matrix that nothing narrowed since the last call.
     """
     rng = np.random.default_rng(seed)
     alive = rng.random((p, q)) < live
@@ -396,6 +397,51 @@ def test_packed_ac_narrow_matches_the_plain_fixpoint(p, q, live, partners, seed)
     got = reduction._ac_narrow(alive, reduction._words(allow))
     assert (None if got is None else got.tolist()) == ac_fixpoint_oracle(alive.tolist(),
                                                                          allow.tolist())
+    if got is not None:
+        assert np.array_equal(reduction._ac_narrow(got, reduction._words(allow)), got)
+
+
+def _allow_table_oracle(src, dst):
+    """The packed compatibility table built one source read at a time."""
+    dm, dj = reduction._pair_counts(src)
+    em, ej = reduction._pair_counts(dst)
+    p, q = len(dm), len(em)
+    allowb = np.empty((-(-q // 64), p, p, q), dtype=np.uint64)
+    for i in range(p):
+        ok = em >= dm[i, :, None, None]
+        allowb[:, i] = reduction._words(ok & (ej >= dj[i, :, None, None])
+                                        if src.num_states == dst.num_states else ok)
+    return allowb
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.sampled_from([1, 9, 64, 65, 90]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_allow_table_matches_the_per_read_build(p, q, same_states, seed):
+    """_allow_table, packed once per distinct count, has the bytes of the
+    per-read build: one word (q <= 64) and two (65, 90), meet and join counts
+    (equal state counts) and meet counts alone."""
+    src = _many_read_device(p, 8, seed)
+    dst = _many_read_device(q, 8 if same_states else 9, seed + 1)
+    got, want = reduction._allow_table(src, dst), _allow_table_oracle(src, dst)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(4, 9), st.integers(0, 2 ** 32 - 1))
+def test_regroup_mask_matches_the_pairwise_screen(p, q, n, seed):
+    """_regroup_mask, one _sizes_regroup call per distinct pair of size
+    multisets, clears the same candidates as a check of every pair of reads."""
+    src, dst = _many_read_device(p, n, seed), _many_read_device(q, n, seed + 1)
+    alive0 = np.array([[rho.num_blocks >= pi.num_blocks for rho in dst.partitions]
+                       for pi in src.partitions])
+    want = alive0.copy()
+    for i, pi in enumerate(src.partitions):
+        for j, rho in enumerate(dst.partitions):
+            if want[i, j] and not reduction._sizes_regroup(pi.block_sizes(), rho.block_sizes()):
+                want[i, j] = False
+    assert np.array_equal(alive0 & reduction._regroup_mask(src, dst), want)
 
 
 @pytest.mark.parametrize("q", [1, 7, 8, 9, 63, 64, 65, 200])
